@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/traceio"
@@ -185,16 +186,6 @@ type Status struct {
 	Failed  string   `json:"failed,omitempty"`
 }
 
-// apiError is the server's JSON error envelope; gap marks an offset-ahead
-// chunk rejection carrying the acknowledged event count to rewind to.
-type apiError struct {
-	Msg    string `json:"error"`
-	Events uint64 `json:"events"`
-	Gap    bool   `json:"gap"`
-}
-
-func (e *apiError) Error() string { return e.Msg }
-
 // splitBases parses the comma-separated BaseURL list.
 func splitBases(s string) []string {
 	var out []string
@@ -233,11 +224,11 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 	if err := traceio.WriteHeader(&hdr, syms, 0); err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), trace: obs.NewTraceID()}
+	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), trace: api.NewID()}
 	// The checksum lets the server reject a header corrupted in transit
 	// before it sizes detectors from garbage symbol tables.
 	crcHdr := map[string]string{
-		"X-Raced-Crc32": strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr.Bytes())), 10),
+		api.HeaderCRC: strconv.FormatUint(uint64(crc32.ChecksumIEEE(hdr.Bytes())), 10),
 	}
 	var created struct {
 		ID string `json:"id"`
@@ -259,7 +250,7 @@ func Open(ctx context.Context, cfg Config, syms *event.Symbols) (*Session, error
 // restarted) and synchronizes on the server's acknowledged event count.
 func Resume(ctx context.Context, cfg Config, id string) (*Session, error) {
 	cfg.fill()
-	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), id: id, trace: obs.NewTraceID()}
+	s := &Session{cfg: cfg, bases: splitBases(cfg.BaseURL), id: id, trace: api.NewID()}
 	st, err := s.Status(ctx)
 	if err != nil {
 		return nil, err
@@ -348,8 +339,8 @@ func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.E
 	io.WriteString(sum, ":")
 	sum.Write(body.Bytes())
 	hdr := map[string]string{
-		"X-Raced-Offset": off,
-		"X-Raced-Crc32":  strconv.FormatUint(uint64(sum.Sum32()), 10),
+		api.HeaderOffset: off,
+		api.HeaderCRC:    strconv.FormatUint(uint64(sum.Sum32()), 10),
 	}
 	var ack struct {
 		Events   uint64 `json:"events"`
@@ -366,7 +357,7 @@ func (s *Session) sendChunk(ctx context.Context, offset uint64, events []event.E
 			s.acked = ack.Events
 			return status, nil
 		case status == http.StatusConflict:
-			var ae *apiError
+			var ae *api.Error
 			if errors.As(err, &ae) && ae.Gap {
 				// The server is behind this chunk (a rollback to an older
 				// checkpoint, or an earlier chunk was lost): adopt its ack
@@ -435,10 +426,10 @@ var ErrRewound = errors.New("session rewound to an older checkpoint")
 func (s *Session) Finish(ctx context.Context) (*FinishResult, error) {
 	var res FinishResult
 	err := s.retry(ctx, "finish", func(attempt int) (int, error) {
-		hdr := map[string]string{"X-Raced-Offset": strconv.FormatUint(s.acked, 10)}
+		hdr := map[string]string{api.HeaderOffset: strconv.FormatUint(s.acked, 10)}
 		status, rerr := s.roundTrip(ctx, "POST", s.base()+"/sessions/"+s.id+"/finish", nil, hdr, &res)
 		if status == http.StatusConflict {
-			var ae *apiError
+			var ae *api.Error
 			if errors.As(rerr, &ae) && ae.Gap {
 				s.cfg.Logf("raced client: session %s finish rewound ack %d -> %d", s.id, s.acked, ae.Events)
 				s.acked = ae.Events
@@ -562,7 +553,7 @@ func (e *retryAfterError) Unwrap() error { return e.inner }
 
 // roundTrip issues one HTTP attempt: body is sent as-is (it must be
 // replayable, hence []byte), non-2xx decodes the server's error envelope
-// (returned as *apiError inside the chain, with Retry-After attached), 2xx
+// (returned as *api.Error inside the chain, with Retry-After attached), 2xx
 // decodes into out when non-nil. Returns the HTTP status, 0 on transport
 // failure.
 func (s *Session) roundTrip(ctx context.Context, method, url string, body []byte, hdr map[string]string, out any) (int, error) {
@@ -595,7 +586,7 @@ func (s *Session) roundTrip(ctx context.Context, method, url string, body []byte
 		// adopt it so the chunk hot path can skip the proxy hop. Workers
 		// themselves never send the header, so a direct response leaves the
 		// pin alone.
-		if v := resp.Header.Get("X-Raced-Worker"); v != "" && v != s.workerURL {
+		if v := resp.Header.Get(api.HeaderWorker); v != "" && v != s.workerURL {
 			s.cfg.Logf("raced client: session %s pinned to worker %s", s.id, v)
 			s.workerURL = v
 		}
@@ -605,7 +596,7 @@ func (s *Session) roundTrip(ctx context.Context, method, url string, body []byte
 		return 0, fmt.Errorf("reading %s %s response: %w", method, url, err)
 	}
 	if resp.StatusCode >= 300 {
-		ae := &apiError{}
+		ae := &api.Error{}
 		if jerr := json.Unmarshal(raw, ae); jerr != nil || ae.Msg == "" {
 			ae.Msg = fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(raw))
 		}

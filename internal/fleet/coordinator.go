@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,27 +14,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/snap"
 )
-
-// HeaderWorker is set on coordinator-proxied responses and names the worker
-// currently owning the session, so placement-following clients can send
-// their chunk hot path straight to the worker and re-resolve through the
-// coordinator when the placement moves.
-const HeaderWorker = "X-Raced-Worker"
-
-// HeaderSessionID lets the coordinator choose the session id on a proxied
-// create, which is what makes ring placement deterministic: the id is
-// hashed before any worker is contacted.
-const HeaderSessionID = "X-Raced-Session-Id"
-
-// HeaderEpoch carries the coordinator's fencing epoch on every
-// worker-bound request and on register/heartbeat replies. Workers retain
-// the highest epoch they have seen and answer 412 Precondition Failed to
-// anything lower, so a superseded ("zombie") coordinator can never
-// double-place a session or roll a placement back. Must match the
-// server-side constant of the same value.
-const HeaderEpoch = "X-Raced-Epoch"
 
 // CoordinatorConfig parameterizes a Coordinator. The zero value picks
 // usable defaults.
@@ -80,7 +61,7 @@ type CoordinatorConfig struct {
 	// worker re-registration still reconstructs placements).
 	JournalDir string
 	// CompactEvery is how many journal appends accumulate before the log
-	// is rewritten as a snapshot + tail. Defaults to 1024.
+	// is rewritten as the live state's records. Defaults to 1024.
 	CompactEvery int64
 	// StandbyOf makes this coordinator a warm standby: it tails the
 	// primary coordinator at this base URL (its journal plus worker
@@ -290,7 +271,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		go c.standbyLoop()
 	} else {
 		close(c.standbyDone)
-		c.recordEpoch(c.epoch.Load()) // persist this incarnation's epoch
+		c.record("epoch", epochRec(c.epoch.Load())) // persist this incarnation's epoch
 	}
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /sessions", c.handleCreateSession)
@@ -353,14 +334,6 @@ func (c *Coordinator) Placements() map[string]string {
 	return out
 }
 
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand never fails on supported platforms
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // --- durable journal ---
 
 // openAndReplayJournal restores coordinator state from JournalDir. A
@@ -396,15 +369,16 @@ func (c *Coordinator) openAndReplayJournal() {
 	}
 	for id, jp := range st.placements {
 		pl := &placement{id: id, worker: jp.worker, header: jp.header}
-		if blob := j.readBlob(id); blob != nil {
+		if blob, err := j.blobs.Get(id); err == nil {
 			pl.blob = blob
 			pl.blobAt = now
 		}
 		c.placements[id] = pl
 	}
-	for _, id := range j.listBlobs() {
+	ids, _ := j.blobs.List() // unreadable: orphans wait for the next replay
+	for _, id := range ids {
 		if _, live := st.placements[id]; !live {
-			j.dropBlob(id) // orphaned by a drop journaled before the crash
+			_ = j.blobs.Remove(id) // orphaned by a drop journaled before the crash
 		}
 	}
 	for id, body := range st.finished {
@@ -434,111 +408,28 @@ func (c *Coordinator) recovering() bool {
 	return time.Now().Before(c.recoveringUntil)
 }
 
-// journalErr accounts a failed journal append. The coordinator keeps
-// serving — losing the journal degrades restart to worker-report
+// record appends one journal record built by enc (one of the *Rec
+// encoders). A failed append is counted and logged and the coordinator
+// keeps serving — losing the journal degrades restart to worker-report
 // reconstruction, which is strictly better than refusing traffic.
+func (c *Coordinator) record(what string, enc func(*snap.Writer)) {
+	if c.journal == nil {
+		return
+	}
+	if err := c.journal.append(enc); err != nil {
+		c.journalErr(what, err)
+		return
+	}
+	c.journalAppends.Add(1)
+}
+
 func (c *Coordinator) journalErr(what string, err error) {
 	c.journalErrors.Add(1)
 	c.cfg.Logger.Error("journal append failed", "record", what, "err", err)
 }
 
-func (c *Coordinator) recordPlace(id, workerName string, header []byte) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recPlace)
-		w.String(id)
-		w.String(workerName)
-		w.Bytes(header)
-	}); err != nil {
-		c.journalErr("place", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordMove(id, workerName string) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recMove)
-		w.String(id)
-		w.String(workerName)
-	}); err != nil {
-		c.journalErr("move", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordDrop(id string) {
-	if c.journal == nil {
-		return
-	}
-	c.journal.dropBlob(id)
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recDrop)
-		w.String(id)
-	}); err != nil {
-		c.journalErr("drop", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordFinish(id string, body []byte) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recFinish)
-		w.String(id)
-		w.Bytes(body)
-	}); err != nil {
-		c.journalErr("finish", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordWorker(name, url string, up bool) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		if up {
-			w.Byte(recWorkerUp)
-			w.String(name)
-			w.String(url)
-		} else {
-			w.Byte(recWorkerDown)
-			w.String(name)
-		}
-	}); err != nil {
-		c.journalErr("worker", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
-func (c *Coordinator) recordEpoch(epoch uint64) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(func(w *snapWriter) {
-		w.Byte(recEpoch)
-		w.Uvarint(epoch)
-	}); err != nil {
-		c.journalErr("epoch", err)
-		return
-	}
-	c.journalAppends.Add(1)
-}
-
 // snapshotState captures current coordinator state in journal form, for
-// compaction and takeover snapshots.
+// compaction (on the monitor tick and at takeover).
 func (c *Coordinator) snapshotState() *journalState {
 	st := newJournalState()
 	st.epoch = c.epoch.Load()
@@ -560,8 +451,8 @@ func (c *Coordinator) snapshotState() *journalState {
 	return st
 }
 
-// maybeCompact rewrites the journal as snapshot + tail once enough appends
-// have accumulated. Called from the monitor loop.
+// maybeCompact rewrites the journal as the live state's records once
+// enough appends have accumulated. Called from the monitor loop.
 func (c *Coordinator) maybeCompact() {
 	if c.journal == nil || c.journal.appendsSinceCompact() < c.cfg.CompactEvery {
 		return
@@ -580,38 +471,26 @@ func (c *Coordinator) maybeCompact() {
 // handleJournalTail (GET /fleet/journal?gen=G&from=N) serves committed
 // journal bytes to a tailing standby. The generation changes on every
 // compaction; a stale generation gets the whole log from offset zero so
-// the standby rebuilds from the snapshot frame.
+// the standby rebuilds from scratch.
 func (c *Coordinator) handleJournalTail(w http.ResponseWriter, r *http.Request) {
 	if c.journal == nil {
-		writeError(w, http.StatusNotFound, "journaling disabled")
+		api.WriteError(w, http.StatusNotFound, "journaling disabled")
 		return
 	}
 	gen, _ := strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
 	from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
 	data, curGen, next, err := c.journal.readFrom(gen, from)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "journal read: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "journal read: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(headerJournalGen, strconv.FormatUint(curGen, 10))
-	w.Header().Set(headerJournalNext, strconv.FormatInt(next, 10))
+	w.Header().Set(api.HeaderJournalGen, strconv.FormatUint(curGen, 10))
+	w.Header().Set(api.HeaderJournalNext, strconv.FormatInt(next, 10))
 	w.Write(data)
 }
 
 // --- helpers ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
 
 // proxyResult is one forwarded request's outcome.
 type proxyResult struct {
@@ -646,7 +525,7 @@ func (c *Coordinator) forward(ctx context.Context, method, url string, body []by
 				req.Header.Set(k, v)
 			}
 		}
-		req.Header.Set(HeaderEpoch, epoch)
+		req.Header.Set(api.HeaderEpoch, epoch)
 		t0 := time.Now()
 		resp, err := c.cfg.HTTPClient.Do(req)
 		if err != nil {
@@ -687,7 +566,7 @@ func (c *Coordinator) noteFenced(url string, pr *proxyResult) {
 	c.epochRejects.Add(1)
 	if !c.fenced.Swap(true) {
 		c.cfg.Logger.Error("fenced: a worker holds a higher coordinator epoch; this coordinator is superseded",
-			"worker_url", url, "our_epoch", c.epoch.Load(), "worker_fence", pr.header.Get(HeaderEpoch))
+			"worker_url", url, "our_epoch", c.epoch.Load(), "worker_fence", pr.header.Get(api.HeaderEpoch))
 	}
 }
 
@@ -705,7 +584,7 @@ func (c *Coordinator) writeProxied(w http.ResponseWriter, pr *proxyResult, worke
 	}
 	if workerName != "" {
 		if url := c.workerURL(workerName); url != "" {
-			w.Header().Set(HeaderWorker, url)
+			w.Header().Set(api.HeaderWorker, url)
 		}
 	}
 	w.WriteHeader(pr.status)
@@ -721,21 +600,10 @@ func (c *Coordinator) workerURL(name string) string {
 	return ""
 }
 
-// traceIDFrom extracts a well-formed trace id from the request, or "".
-// Invalid ids are dropped rather than rejected: tracing is best-effort and
-// must never fail a request.
-func traceIDFrom(r *http.Request) string {
-	id := r.Header.Get(obs.HeaderTrace)
-	if id == "" || !obs.ValidID(id) {
-		return ""
-	}
-	return id
-}
-
 // traceFor resolves the effective trace id for a request against a session:
 // the id the request carried wins, else the one retained at create time.
 func (c *Coordinator) traceFor(r *http.Request, id string) string {
-	if tr := traceIDFrom(r); tr != "" {
+	if tr := api.TraceIDFrom(r); tr != "" {
 		return tr
 	}
 	c.mu.Lock()
@@ -750,25 +618,42 @@ func (c *Coordinator) traceFor(r *http.Request, id string) string {
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return nil, false
 	}
 	return body, true
 }
 
-// lookupPlacement snapshots one placement under the lock.
-func (c *Coordinator) lookupPlacement(id string) (workerName, workerURL string, moving, ok bool) {
+// route resolves the request's session to the worker serving it. When
+// there is none it answers the request itself: 503 on a standby or fenced
+// coordinator, 404 for a session it does not place (unless unplaced, when
+// non-nil, answers it), 503 while the session is mid-move.
+func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, unplaced func(http.ResponseWriter, string) bool) (id, workerName, workerURL string, ok bool) {
+	if c.refuseSessionAPI(w) {
+		return "", "", "", false
+	}
+	id = r.PathValue("id")
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	pl := c.placements[id]
-	if pl == nil {
-		return "", "", false, false
+	moving := false
+	if pl != nil {
+		workerName, moving = pl.worker, pl.moving
+		if wk := c.workers[pl.worker]; wk != nil {
+			workerURL = wk.url
+		}
 	}
-	url := ""
-	if wk := c.workers[pl.worker]; wk != nil {
-		url = wk.url
+	c.mu.Unlock()
+	switch {
+	case pl == nil:
+		if unplaced == nil || !unplaced(w, id) {
+			api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
+		}
+	case moving || workerURL == "":
+		api.WriteError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
+	default:
+		return id, workerName, workerURL, true
 	}
-	return pl.worker, url, pl.moving, true
+	return id, "", "", false
 }
 
 // refuseSessionAPI answers session-API traffic 503 when this coordinator
@@ -779,11 +664,11 @@ func (c *Coordinator) refuseSessionAPI(w http.ResponseWriter) bool {
 	switch {
 	case c.standbyMode.Load():
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "standby coordinator: primary owns the session API")
+		api.WriteError(w, http.StatusServiceUnavailable, "standby coordinator: primary owns the session API")
 		return true
 	case c.fenced.Load():
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "coordinator superseded (fenced at epoch %d)", c.epoch.Load())
+		api.WriteError(w, http.StatusServiceUnavailable, "coordinator superseded (fenced at epoch %d)", c.epoch.Load())
 		return true
 	}
 	return false
@@ -824,7 +709,7 @@ func (c *Coordinator) admission() (shed bool, retryAfter int) {
 // the routing, not the request: the next worker clockwise is tried.
 func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if c.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		api.WriteError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	if c.refuseSessionAPI(w) {
@@ -833,7 +718,7 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 	if shed, retry := c.admission(); shed {
 		c.admissionShed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusServiceUnavailable,
+		api.WriteError(w, http.StatusServiceUnavailable,
 			"fleet degraded (%d failovers pending): new sessions shed, retry later", c.pendingFailovers.Load())
 		return
 	}
@@ -842,15 +727,15 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 		return
 	}
 	engines := r.URL.Query().Get("engines")
-	traceID := traceIDFrom(r)
-	id := newID()
+	traceID := api.TraceIDFrom(r)
+	id := api.NewID()
 	tried := make(map[string]bool)
 	for {
 		name, url := c.pickWorker(id, tried)
 		if name == "" {
 			c.admissionShed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(min(60, 2+int(c.pendingFailovers.Load())/4)))
-			writeError(w, http.StatusServiceUnavailable, "no worker accepted the session")
+			api.WriteError(w, http.StatusServiceUnavailable, "no worker accepted the session")
 			return
 		}
 		tried[name] = true
@@ -860,10 +745,10 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 		}
 		t0 := time.Now()
 		pr, err := c.forward(r.Context(), "POST", target, body, map[string]string{
-			HeaderSessionID: id,
-			obs.HeaderTrace: traceID,
-			"Content-Type":  r.Header.Get("Content-Type"),
-			"X-Raced-Crc32": r.Header.Get("X-Raced-Crc32"),
+			api.HeaderSessionID: id,
+			obs.HeaderTrace:     traceID,
+			"Content-Type":      r.Header.Get("Content-Type"),
+			api.HeaderCRC:       r.Header.Get(api.HeaderCRC),
 		})
 		if err != nil {
 			c.noteProxyFailure(name, err)
@@ -876,7 +761,7 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 			c.mu.Lock()
 			c.placements[id] = &placement{id: id, worker: name, trace: traceID, engines: engines, header: body}
 			c.mu.Unlock()
-			c.recordPlace(id, name, body)
+			c.record("place", placeRec(id, name, body))
 			c.sessionsCreated.Add(1)
 			c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_create",
 				Worker: name, Start: t0, Duration: time.Since(t0).Seconds()})
@@ -908,17 +793,8 @@ func (c *Coordinator) pickWorker(id string, tried map[string]bool) (name, url st
 // that cannot be reached starts failure detection and the client retries
 // into the post-failover placement.
 func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
-	if c.refuseSessionAPI(w) {
-		return
-	}
-	id := r.PathValue("id")
-	name, url, moving, ok := c.lookupPlacement(id)
+	id, name, url, ok := c.route(w, r, nil)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	body, bok := c.readBody(w, r)
@@ -930,14 +806,14 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 	pr, err := c.forward(r.Context(), "POST", url+"/sessions/"+id+"/chunks", body, map[string]string{
 		obs.HeaderTrace:  traceID,
 		"Content-Type":   r.Header.Get("Content-Type"),
-		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
-		"X-Raced-Crc32":  r.Header.Get("X-Raced-Crc32"),
+		api.HeaderOffset: r.Header.Get(api.HeaderOffset),
+		api.HeaderCRC:    r.Header.Get(api.HeaderCRC),
 	})
 	if err != nil {
 		c.noteProxyFailure(name, err)
 		c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_chunk", Worker: name,
 			Start: t0, Duration: time.Since(t0).Seconds(), Err: err.Error()})
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_chunk", Worker: name,
@@ -950,42 +826,25 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 // a failover) returns the identical report even after the placement is
 // gone.
 func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
-	if c.refuseSessionAPI(w) {
-		return
-	}
-	id := r.PathValue("id")
-	name, url, moving, ok := c.lookupPlacement(id)
+	id, name, url, ok := c.route(w, r, c.replayFinished)
 	if !ok {
-		if body, cached := c.recallFinished(id); cached {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	traceID := c.traceFor(r, id)
 	t0 := time.Now()
 	pr, err := c.forward(r.Context(), "POST", url+"/sessions/"+id+"/finish", nil, map[string]string{
 		obs.HeaderTrace:  traceID,
-		"X-Raced-Offset": r.Header.Get("X-Raced-Offset"),
+		api.HeaderOffset: r.Header.Get(api.HeaderOffset),
 	})
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	if pr.status >= 200 && pr.status < 300 {
 		c.rememberFinished(id, pr.body)
-		c.mu.Lock()
-		delete(c.placements, id)
-		c.mu.Unlock()
-		c.recordFinish(id, pr.body)
-		c.recordDrop(id)
+		c.record("finish", finishRec(id, pr.body))
+		c.dropPlacement(id)
 		c.sessionsFinished.Add(1)
 		c.span(obs.Span{Trace: traceID, Session: id, Name: "proxy_finish", Worker: name,
 			Start: t0, Duration: time.Since(t0).Seconds()})
@@ -994,75 +853,45 @@ func (c *Coordinator) handleFinish(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleAbort(w http.ResponseWriter, r *http.Request) {
-	if c.refuseSessionAPI(w) {
-		return
-	}
-	id := r.PathValue("id")
-	name, url, moving, ok := c.lookupPlacement(id)
+	id, name, url, ok := c.route(w, r, nil)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "DELETE", url+"/sessions/"+id, nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
 		return
 	}
 	if (pr.status >= 200 && pr.status < 300) || pr.status == http.StatusNotFound {
-		c.mu.Lock()
-		delete(c.placements, id)
-		c.mu.Unlock()
-		c.recordDrop(id)
+		c.dropPlacement(id)
 	}
 	c.writeProxied(w, pr, name)
 }
 
 func (c *Coordinator) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if c.refuseSessionAPI(w) {
-		return
-	}
-	id := r.PathValue("id")
-	name, url, moving, ok := c.lookupPlacement(id)
+	id, name, url, ok := c.route(w, r, nil)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "GET", url+"/sessions/"+id, nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable, failover pending: %v", name, err)
 		return
 	}
 	c.writeProxied(w, pr, name)
 }
 
 func (c *Coordinator) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
-	if c.refuseSessionAPI(w) {
-		return
-	}
-	id := r.PathValue("id")
-	name, url, moving, ok := c.lookupPlacement(id)
+	id, name, url, ok := c.route(w, r, nil)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	if moving || url == "" {
-		writeError(w, http.StatusServiceUnavailable, "session %s is failing over, retry", id)
 		return
 	}
 	pr, err := c.forward(r.Context(), "GET", url+"/sessions/"+id+"/snapshot", nil, nil)
 	if err != nil {
 		c.noteProxyFailure(name, err)
-		writeError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "worker %s unreachable: %v", name, err)
 		return
 	}
 	c.writeProxied(w, pr, name)
@@ -1084,6 +913,17 @@ func (c *Coordinator) rememberFinished(id string, body []byte) {
 		c.finOrder = c.finOrder[1:]
 		c.finEvictions.Add(1)
 	}
+}
+
+// replayFinished answers a finish for a session that is no longer placed
+// from the finished-reply cache, and reports whether it could.
+func (c *Coordinator) replayFinished(w http.ResponseWriter, id string) bool {
+	body, ok := c.recallFinished(id)
+	if ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}
+	return ok
 }
 
 func (c *Coordinator) recallFinished(id string) ([]byte, bool) {
@@ -1122,11 +962,11 @@ func (c *Coordinator) expireFinished() {
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "register: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "register: %v", err)
 		return
 	}
 	if req.Name == "" || req.URL == "" {
-		writeError(w, http.StatusBadRequest, "register: name and url are required")
+		api.WriteError(w, http.StatusBadRequest, "register: name and url are required")
 		return
 	}
 	// A standby shadows membership (so a takeover starts with fresh
@@ -1145,7 +985,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		wk.load = req.Load
 		c.ring.Add(req.Name)
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, registerResponse{
+		api.WriteJSON(w, http.StatusOK, registerResponse{
 			HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
 			Epoch:       c.epoch.Load(),
 		})
@@ -1157,7 +997,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// by the fence our predecessor raised.
 	if req.Epoch >= c.epoch.Load() && c.recovering() {
 		c.epoch.Store(req.Epoch + 1)
-		c.recordEpoch(req.Epoch + 1)
+		c.record("epoch", epochRec(req.Epoch+1))
 		c.cfg.Logger.Info("adopted fencing epoch from worker report",
 			"worker", req.Name, "epoch", req.Epoch+1)
 	}
@@ -1187,9 +1027,9 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mu.Unlock()
-	c.recordWorker(req.Name, req.URL, true)
+	c.record("worker", workerUpRec(req.Name, req.URL))
 	for _, id := range adopted {
-		c.recordPlace(id, req.Name, nil)
+		c.record("place", placeRec(id, req.Name, nil))
 	}
 	if len(adopted) > 0 {
 		c.sessionsAdopted.Add(uint64(len(adopted)))
@@ -1205,7 +1045,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.rebalanceOnto(req.Name, staleSet)
 	}
 	c.retryStalledFailovers()
-	writeJSON(w, http.StatusOK, registerResponse{
+	api.WriteJSON(w, http.StatusOK, registerResponse{
 		HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
 		Stale:       stale,
 		Epoch:       c.epoch.Load(),
@@ -1218,7 +1058,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "heartbeat: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "heartbeat: %v", err)
 		return
 	}
 	c.mu.Lock()
@@ -1234,13 +1074,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	switch {
 	case wk == nil:
-		writeError(w, http.StatusNotFound, "worker %q is not registered", req.Name)
+		api.WriteError(w, http.StatusNotFound, "worker %q is not registered", req.Name)
 	case state == workerSuspect, state == workerDead:
-		writeError(w, http.StatusGone, "worker %q was declared failed; re-register", req.Name)
+		api.WriteError(w, http.StatusGone, "worker %q was declared failed; re-register", req.Name)
 	default:
 		// The ack carries the fencing epoch so every heartbeat cycle
 		// propagates a takeover's new epoch to the whole fleet.
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": c.epoch.Load()})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": c.epoch.Load()})
 	}
 }
 
@@ -1270,7 +1110,7 @@ func (c *Coordinator) fleetSnapshot() ([]workerInfo, int) {
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	infos, healthy := c.fleetSnapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":            infos,
 		"healthy":            healthy,
 		"placements":         c.Placements(),
@@ -1299,7 +1139,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	sessions := len(c.placements)
 	c.mu.Unlock()
-	writeJSON(w, code, map[string]any{
+	api.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"workers":        len(infos),
 		"healthy":        healthy,
@@ -1329,7 +1169,7 @@ func (c *Coordinator) newMetrics() {
 	c.pullsFailed = reg.Counter("fleet_checkpoint_pull_failures_total", "Checkpoint pulls that failed.")
 	c.reportMerges = reg.Counter("fleet_report_merges_total", "Merged /reports responses served.")
 	c.journalAppends = reg.Counter("fleet_journal_appends_total", "Records appended to the placement journal.")
-	c.journalCompacts = reg.Counter("fleet_journal_compactions_total", "Journal snapshot+tail rewrites.")
+	c.journalCompacts = reg.Counter("fleet_journal_compactions_total", "Journal rewrites of the live state as records.")
 	c.journalErrors = reg.Counter("fleet_journal_errors_total", "Journal writes or replays that failed (durability degraded, service continues).")
 	c.journalReplayed = reg.Counter("fleet_journal_replay_records_total", "Journal records replayed at startup.")
 	c.finEvictions = reg.Counter("fleet_finished_cache_evictions_total", "Cached finish replies evicted by TTL or capacity.")
@@ -1472,11 +1312,11 @@ func (c *Coordinator) mergedSpans(ctx context.Context, kind, id string, own []ob
 func (c *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		api.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	spans := c.mergedSpans(r.Context(), "trace", id, c.trace.ByTrace(id))
-	writeJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
 }
 
 // handleDebugSession (GET /debug/sessions/{id}) is the session-keyed
@@ -1484,9 +1324,9 @@ func (c *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad session id %q", id)
+		api.WriteError(w, http.StatusBadRequest, "bad session id %q", id)
 		return
 	}
 	spans := c.mergedSpans(r.Context(), "sessions", id, c.trace.BySession(id))
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
 }

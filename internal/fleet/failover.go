@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -167,9 +169,9 @@ func (c *Coordinator) runMove(m moveSpec) {
 		}
 		t0 := time.Now()
 		pr, err := c.forward(ctx, "POST", url, header, map[string]string{
-			HeaderSessionID: m.id,
-			obs.HeaderTrace: traceID,
-			"Content-Type":  "application/octet-stream",
+			api.HeaderSessionID: m.id,
+			obs.HeaderTrace:     traceID,
+			"Content-Type":      "application/octet-stream",
 		})
 		switch {
 		case err == nil && (pr.status == http.StatusCreated || pr.status == http.StatusConflict):
@@ -211,7 +213,7 @@ func (c *Coordinator) runMove(m moveSpec) {
 		cur.moving = false
 	}
 	c.mu.Unlock()
-	c.recordMove(m.id, target)
+	c.record("move", moveRec(m.id, target))
 	if m.fresh {
 		c.sessionsMigrated.Add(1)
 		// Best-effort: drop the source copy so the drained worker exits
@@ -245,11 +247,16 @@ func (c *Coordinator) giveUpMove(m moveSpec, msg string, args ...any) {
 	}
 }
 
+// dropPlacement forgets a finished, aborted or lost session: its
+// placement, its spilled blob and, durably, the drop itself.
 func (c *Coordinator) dropPlacement(id string) {
 	c.mu.Lock()
 	delete(c.placements, id)
 	c.mu.Unlock()
-	c.recordDrop(id)
+	if c.journal != nil {
+		_ = c.journal.blobs.Remove(id) // a leftover is deleted at the next replay
+	}
+	c.record("drop", dropRec(id))
 }
 
 // pickMoveTarget walks the ring clockwise from the session's hash for the
@@ -393,7 +400,7 @@ func (c *Coordinator) retryStalledFailovers() {
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "leave: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "leave: %v", err)
 		return
 	}
 	// A standby only forgets the worker; the primary runs the handoff.
@@ -402,14 +409,14 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		delete(c.workers, req.Name)
 		c.ring.Remove(req.Name)
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"moved": 0})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"moved": 0})
 		return
 	}
 	c.mu.Lock()
 	wk := c.workers[req.Name]
 	if wk == nil {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"moved": 0})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"moved": 0})
 		return
 	}
 	wk.state = workerDraining
@@ -447,16 +454,16 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-done:
 	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "leave interrupted: %v", r.Context().Err())
+		api.WriteError(w, http.StatusServiceUnavailable, "leave interrupted: %v", r.Context().Err())
 		return
 	}
 	c.mu.Lock()
 	delete(c.workers, req.Name)
 	c.ring.Remove(req.Name)
 	c.mu.Unlock()
-	c.recordWorker(req.Name, "", false)
+	c.record("worker", workerDownRec(req.Name))
 	c.cfg.Logger.Info("worker left", "worker", req.Name, "moved", moved, "sessions", len(ids))
-	writeJSON(w, http.StatusOK, map[string]any{"moved": moved})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"moved": moved})
 }
 
 // --- rebalance on join ---
@@ -580,7 +587,7 @@ func (c *Coordinator) pullAll() {
 				if keep && c.journal != nil {
 					// Spill the checkpoint beside the journal so a restarted
 					// coordinator can restore this session without its worker.
-					if werr := c.journal.writeBlob(j.id, pr.body); werr != nil {
+					if werr := c.journal.blobs.Put(j.id, durable.Bytes(pr.body)); werr != nil {
 						c.journalErr("blob", werr)
 					}
 				}

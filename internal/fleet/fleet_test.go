@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -583,11 +584,11 @@ func TestFleetRetryAfterPropagation(t *testing.T) {
 	// with its own Retry-After.
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(HeaderSessionID)})
+		api.WriteJSON(w, http.StatusCreated, map[string]string{"id": r.Header.Get(api.HeaderSessionID)})
 	})
 	mux.HandleFunc("POST /sessions/{id}/chunks", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "17")
-		writeError(w, http.StatusTooManyRequests, "worker saturated")
+		api.WriteError(w, http.StatusTooManyRequests, "worker saturated")
 	})
 	wln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -619,8 +620,8 @@ func TestFleetRetryAfterPropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated || created.ID == "" {
 		t.Fatalf("create via stub: status %d id %q", resp.StatusCode, created.ID)
 	}
-	if got := resp.Header.Get(HeaderWorker); got != "http://"+wln.Addr().String() {
-		t.Errorf("create response %s = %q, want the stub's URL", HeaderWorker, got)
+	if got := resp.Header.Get(api.HeaderWorker); got != "http://"+wln.Addr().String() {
+		t.Errorf("create response %s = %q, want the stub's URL", api.HeaderWorker, got)
 	}
 
 	resp, err = http.Post(coURL+"/sessions/"+created.ID+"/chunks", "application/octet-stream", strings.NewReader("x"))

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/snap"
 )
 
@@ -17,11 +18,12 @@ import (
 // membership changes, one snap frame per record, living in
 // <dir>/journal.log with pulled checkpoint blobs spilled beside it under
 // <dir>/blobs/. Every record has set semantics (last write wins per key),
-// so a snapshot followed by a replayed tail converges regardless of how
-// the compaction raced with concurrent appends. The snap codec's CRC
-// framing means a torn final write (power loss mid-append) surfaces as a
-// decode error on the last frame, which replay treats as the end of the
-// log rather than corruption of everything before it.
+// so compaction simply rewrites the live state as the same records — one
+// per epoch, worker, placement and cached finish — and replay needs no
+// second format. The snap codec's CRC framing means a torn final write
+// (power loss mid-append) surfaces as a decode error on the last frame,
+// which replay treats as the end of the log rather than corruption of
+// everything before it.
 //
 // Writes buffer the whole frame in memory and issue a single Write on an
 // O_APPEND handle, so concurrent appenders can never interleave partial
@@ -37,7 +39,9 @@ const (
 	recFinish     byte = 5 // finished-reply cache entry: id, reply body
 	recWorkerUp   byte = 6 // worker joined/re-registered: name, url
 	recWorkerDown byte = 7 // worker left/died: name
-	recSnapshot   byte = 8 // full-state snapshot (compaction rewrites to one of these)
+	// Type 8 was a whole-state snapshot frame that older compactions
+	// wrote. It is reserved, never reused: a journal holding one replays
+	// as corrupt and takes the quarantine and reconstruction path.
 )
 
 // Decode bounds: a corrupt length field must not drive a huge allocation.
@@ -45,18 +49,79 @@ const (
 	maxJournalID     = 256
 	maxJournalURL    = 4096
 	maxJournalBlob   = 1 << 28
-	maxJournalCount  = 1 << 20
 	journalFileName  = "journal.log"
 	journalBlobsDir  = "blobs"
+	journalBlobExt   = ".blob"
 	journalCorruptFn = "journal.corrupt"
 )
 
-// snapWriter keeps the coordinator's journal-record builders terse.
-type snapWriter = snap.Writer
+// Record encoders, one per record type, shared by live appends and
+// compaction.
+
+func epochRec(epoch uint64) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recEpoch)
+		w.Uvarint(epoch)
+	}
+}
+
+func placeRec(id, worker string, header []byte) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recPlace)
+		w.String(id)
+		w.String(worker)
+		w.Bytes(header)
+	}
+}
+
+func moveRec(id, worker string) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recMove)
+		w.String(id)
+		w.String(worker)
+	}
+}
+
+func dropRec(id string) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recDrop)
+		w.String(id)
+	}
+}
+
+func finishRec(id string, body []byte) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recFinish)
+		w.String(id)
+		w.Bytes(body)
+	}
+}
+
+func workerUpRec(name, url string) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recWorkerUp)
+		w.String(name)
+		w.String(url)
+	}
+}
+
+func workerDownRec(name string) func(*snap.Writer) {
+	return func(w *snap.Writer) {
+		w.Byte(recWorkerDown)
+		w.String(name)
+	}
+}
+
+// frame writes one record as a snap frame.
+func frame(w io.Writer, enc func(*snap.Writer)) error {
+	sw := snap.NewWriter(w)
+	enc(sw)
+	return sw.Close()
+}
 
 // journalState is the replayable coordinator state a journal encodes. It
-// is the shared shape between startup replay, compaction snapshots, and
-// the standby's shadow copy.
+// is the shared shape between startup replay, compaction, and the
+// standby's shadow copy.
 type journalState struct {
 	epoch      uint64
 	workers    map[string]string // name -> url
@@ -152,82 +217,39 @@ func (st *journalState) applyRecord(r *snap.Reader) error {
 			return err
 		}
 		delete(st.workers, name)
-	case recSnapshot:
-		return st.applySnapshot(r)
 	default:
 		return fmt.Errorf("journal: unknown record type %d", typ)
 	}
 	return r.Close()
 }
 
-// applySnapshot decodes a compaction snapshot. Snapshots replace workers
-// and merge placements/finished with set semantics (a snapshot is always
-// the first frame of a compacted log, so in practice it initializes).
-func (st *journalState) applySnapshot(r *snap.Reader) error {
-	e, err := r.Uvarint()
-	if err != nil {
-		return err
+// writeRecords writes st as the records that rebuild it on replay: what
+// compaction leaves in the log.
+func (st *journalState) writeRecords(w io.Writer) error {
+	recs := []func(*snap.Writer){epochRec(st.epoch)}
+	for name, url := range st.workers {
+		recs = append(recs, workerUpRec(name, url))
 	}
-	if e > st.epoch {
-		st.epoch = e
+	for id, pl := range st.placements {
+		recs = append(recs, placeRec(id, pl.worker, pl.header))
 	}
-	nw, err := r.Count(maxJournalCount)
-	if err != nil {
-		return err
+	for id, body := range st.finished {
+		recs = append(recs, finishRec(id, body))
 	}
-	for i := 0; i < nw; i++ {
-		name, err := r.String(maxJournalID)
-		if err != nil {
+	for _, enc := range recs {
+		if err := frame(w, enc); err != nil {
 			return err
 		}
-		url, err := r.String(maxJournalURL)
-		if err != nil {
-			return err
-		}
-		st.workers[name] = url
 	}
-	np, err := r.Count(maxJournalCount)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < np; i++ {
-		id, err := r.String(maxJournalID)
-		if err != nil {
-			return err
-		}
-		w, err := r.String(maxJournalID)
-		if err != nil {
-			return err
-		}
-		hdr, err := r.Bytes(maxJournalBlob)
-		if err != nil {
-			return err
-		}
-		st.placements[id] = &journalPlacement{worker: w, header: hdr}
-	}
-	nf, err := r.Count(maxJournalCount)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nf; i++ {
-		id, err := r.String(maxJournalID)
-		if err != nil {
-			return err
-		}
-		body, err := r.Bytes(maxJournalBlob)
-		if err != nil {
-			return err
-		}
-		st.finished[id] = body
-	}
-	return r.Close()
+	return nil
 }
 
 // journal is the durable log handle. All methods are safe for concurrent
 // use; the file mutex is independent of the coordinator's state mutex so
 // appends never serialize proxying beyond the write itself.
 type journal struct {
-	dir string
+	dir   string
+	blobs *durable.Dir // pulled checkpoint blobs, one file per session id
 
 	mu      sync.Mutex
 	f       *os.File
@@ -236,9 +258,14 @@ type journal struct {
 	appends int64  // records since the last compaction
 }
 
-// openJournal opens (creating if needed) the journal under dir.
+// openJournal opens (creating if needed) the journal under dir, removing
+// temp files a compaction or blob spill killed mid-write left behind.
 func openJournal(dir string) (*journal, error) {
-	if err := os.MkdirAll(filepath.Join(dir, journalBlobsDir), 0o755); err != nil {
+	blobs, err := durable.OpenDir(filepath.Join(dir, journalBlobsDir), journalBlobExt)
+	if err != nil {
+		return nil, err
+	}
+	if err := durable.SweepTemp(dir); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, journalFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -246,11 +273,14 @@ func openJournal(dir string) (*journal, error) {
 		return nil, err
 	}
 	st, err := f.Stat()
+	if err == nil {
+		err = durable.SyncDir(dir) // make a fresh log's directory entry durable
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &journal{dir: dir, f: f, size: st.Size(), gen: 1}, nil
+	return &journal{dir: dir, blobs: blobs, f: f, size: st.Size(), gen: 1}, nil
 }
 
 func (j *journal) close() {
@@ -267,9 +297,7 @@ func (j *journal) close() {
 // never interleave, and Sync makes it crash-durable before we return.
 func (j *journal) append(enc func(*snap.Writer)) error {
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	enc(w)
-	if err := w.Close(); err != nil {
+	if err := frame(&buf, enc); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -297,45 +325,22 @@ func (j *journal) appendsSinceCompact() int64 {
 	return j.appends
 }
 
-// compact rewrites the journal as a single snapshot frame of st, bumping
-// the generation so tailing standbys resync from the top. The snapshot is
-// written to a temp file, synced, and renamed over the log — a crash at
-// any point leaves either the old log or the new one, never a mix.
+// compact rewrites the journal as the records of st, bumping the
+// generation so tailing standbys resync from the top. The new log replaces
+// the old one through durable.WriteFile: a crash at any point leaves
+// either the old log or the new one.
 func (j *journal) compact(st *journalState) error {
+	var buf bytes.Buffer
+	if err := st.writeRecords(&buf); err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errors.New("journal closed")
 	}
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.Byte(recSnapshot)
-	encodeSnapshot(w, st)
-	if err := w.Close(); err != nil {
-		return err
-	}
 	path := filepath.Join(j.dir, journalFileName)
-	tmp, err := os.CreateTemp(j.dir, "journal-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := durable.WriteFile(path, durable.Bytes(buf.Bytes())); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -350,49 +355,33 @@ func (j *journal) compact(st *journalState) error {
 	return nil
 }
 
-func encodeSnapshot(w *snap.Writer, st *journalState) {
-	w.Uvarint(st.epoch)
-	w.Uvarint(uint64(len(st.workers)))
-	for name, url := range st.workers {
-		w.String(name)
-		w.String(url)
-	}
-	w.Uvarint(uint64(len(st.placements)))
-	for id, pl := range st.placements {
-		w.String(id)
-		w.String(pl.worker)
-		w.Bytes(pl.header)
-	}
-	w.Uvarint(uint64(len(st.finished)))
-	for id, body := range st.finished {
-		w.String(id)
-		w.Bytes(body)
-	}
-}
-
 // readFrom returns committed journal bytes starting at offset from, for a
 // tailing standby. If the caller's generation is stale (a compaction
 // happened), it returns the whole log from offset zero and the new
-// generation so the reader rebuilds from the snapshot.
+// generation so the reader rebuilds from scratch. The file is opened under
+// the journal lock — compaction renames under it too — so the handle and
+// the size always describe the same file.
 func (j *journal) readFrom(gen uint64, from int64) (data []byte, curGen uint64, next int64, err error) {
 	j.mu.Lock()
-	size := j.size
-	curGen = j.gen
-	j.mu.Unlock()
+	size, curGen := j.size, j.gen
 	if gen != curGen || from > size || from < 0 {
 		from = 0
 	}
+	var f *os.File
+	if from < size {
+		f, err = os.Open(filepath.Join(j.dir, journalFileName))
+	}
+	j.mu.Unlock()
 	if from == size {
 		return nil, curGen, size, nil
 	}
-	f, err := os.Open(filepath.Join(j.dir, journalFileName))
 	if err != nil {
 		return nil, curGen, from, err
 	}
 	defer f.Close()
 	data = make([]byte, size-from)
-	if _, err := f.ReadAt(data, from); err != nil && err != io.EOF {
-		return nil, curGen, from, err
+	if n, rerr := f.ReadAt(data, from); n < len(data) {
+		return nil, curGen, from, fmt.Errorf("journal short read: %d of %d bytes: %w", n, len(data), rerr)
 	}
 	return data, curGen, size, nil
 }
@@ -459,72 +448,8 @@ func quarantineJournal(dir string) error {
 	src := filepath.Join(dir, journalFileName)
 	dst := filepath.Join(dir, journalCorruptFn)
 	os.Remove(dst)
-	return os.Rename(src, dst)
-}
-
-// --- checkpoint blob spill ---
-
-// blobPath returns the on-disk path for a session's pulled checkpoint.
-// Session ids are hex (validated at the API edge), so the name is safe.
-func (j *journal) blobPath(id string) string {
-	return filepath.Join(j.dir, journalBlobsDir, id+".blob")
-}
-
-// writeBlob atomically persists a pulled checkpoint blob.
-func (j *journal) writeBlob(id string, data []byte) error {
-	path := j.blobPath(id)
-	tmp, err := os.CreateTemp(filepath.Dir(path), "blob-*.tmp")
-	if err != nil {
+	if err := os.Rename(src, dst); err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
-// readBlob loads a spilled checkpoint blob, or nil if none exists.
-func (j *journal) readBlob(id string) []byte {
-	data, err := os.ReadFile(j.blobPath(id))
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// dropBlob removes a session's spilled blob (finished/aborted/lost).
-func (j *journal) dropBlob(id string) {
-	os.Remove(j.blobPath(id))
-}
-
-// listBlobs returns the ids of all spilled blobs, for replay to reload.
-func (j *journal) listBlobs() []string {
-	ents, err := os.ReadDir(filepath.Join(j.dir, journalBlobsDir))
-	if err != nil {
-		return nil
-	}
-	ids := make([]string, 0, len(ents))
-	for _, e := range ents {
-		name := e.Name()
-		if id, found := strings.CutSuffix(name, ".blob"); found {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+	return durable.SyncDir(dir)
 }

@@ -2,10 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/durable"
 	"repro/internal/snap"
 )
 
@@ -226,17 +232,17 @@ func TestJournalBlobs(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer j.close()
-	if err := j.writeBlob("aa11", []byte("checkpoint")); err != nil {
+	if err := j.blobs.Put("aa11", durable.Bytes([]byte("checkpoint"))); err != nil {
 		t.Fatalf("writeBlob: %v", err)
 	}
-	if got := j.readBlob("aa11"); !bytes.Equal(got, []byte("checkpoint")) {
+	if got, _ := j.blobs.Get("aa11"); !bytes.Equal(got, []byte("checkpoint")) {
 		t.Fatalf("readBlob = %q", got)
 	}
-	if ids := j.listBlobs(); len(ids) != 1 || ids[0] != "aa11" {
+	if ids, _ := j.blobs.List(); len(ids) != 1 || ids[0] != "aa11" {
 		t.Fatalf("listBlobs = %v", ids)
 	}
-	j.dropBlob("aa11")
-	if got := j.readBlob("aa11"); got != nil {
+	j.blobs.Remove("aa11")
+	if got, _ := j.blobs.Get("aa11"); got != nil {
 		t.Fatalf("blob survived drop: %q", got)
 	}
 }
@@ -280,5 +286,165 @@ func TestJournalReadFromTail(t *testing.T) {
 	data3, gen3, _, err := j.readFrom(gen, next)
 	if err != nil || gen3 != gen+1 || len(data3) == 0 {
 		t.Fatalf("post-compact readFrom: data=%d gen=%d err=%v", len(data3), gen3, err)
+	}
+}
+
+// TestJournalReadFromDuringCompaction races a tailing reader against
+// appends and compactions: every payload readFrom hands out must decode
+// frame by frame to a clean EOF, never a short or zero-padded read.
+func TestJournalReadFromDuringCompaction(t *testing.T) {
+	j, err := openJournal(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer j.close()
+	st := newJournalState()
+	hdr := bytes.Repeat([]byte("h"), 64)
+	for i := 0; i < 8; i++ {
+		st.placements[fmt.Sprintf("aa%02d", i)] = &journalPlacement{worker: "w1", header: hdr}
+	}
+
+	stop := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		defer close(writerErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k := 0; k < 32; k++ {
+				if err := j.append(placeRec(fmt.Sprintf("bb%02d", k), "w2", hdr)); err != nil {
+					writerErr <- err
+					return
+				}
+			}
+			if err := j.compact(st); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+	}()
+
+	// Several tailing readers, more than the CPUs, so one is often
+	// descheduled between sampling the size and opening the file.
+	var wg sync.WaitGroup
+	readerErr := make(chan error, 8)
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for rdr := 0; rdr < 8; rdr++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var gen uint64
+			var off int64
+			for i := 0; time.Now().Before(deadline); i++ {
+				data, curGen, next, err := j.readFrom(gen, off)
+				if err != nil {
+					readerErr <- fmt.Errorf("readFrom(%d, %d): %w", gen, off, err)
+					return
+				}
+				if err := decodeAll(data); err != nil {
+					readerErr <- fmt.Errorf("payload of %d bytes (gen %d, from %d): %w", len(data), curGen, off, err)
+					return
+				}
+				gen, off = curGen, next
+				if i%2 == 0 {
+					gen, off = 0, 0 // a fresh standby: full resend
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(readerErr)
+	for err := range readerErr {
+		t.Error(err)
+	}
+	close(stop)
+	if err := <-writerErr; err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+}
+
+// decodeAll applies every frame in data to a scratch state, failing on
+// anything but a clean end after the last whole frame.
+func decodeAll(data []byte) error {
+	rd := bytes.NewReader(data)
+	for {
+		r, err := snap.NewReader(rd)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := newJournalState().applyRecord(r); err != nil {
+			return err
+		}
+	}
+}
+
+// TestCoordinatorRestartSweepsTempFiles: temp files a killed compaction or
+// blob spill left in the journal directory are removed when the next
+// coordinator opens it, and the journaled placement and its blob come back.
+func TestCoordinatorRestartSweepsTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := CoordinatorConfig{JournalDir: dir, PullEvery: -1, HeartbeatTimeout: time.Minute}
+	c1 := NewCoordinator(cfg)
+	c1.record("worker", workerUpRec("w1", "http://127.0.0.1:1"))
+	c1.record("place", placeRec("aa11", "w1", []byte("hdr")))
+	if err := c1.journal.blobs.Put("aa11", durable.Bytes([]byte("checkpoint"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	strays := []string{filepath.Join(dir, ".tmp-123"), filepath.Join(dir, journalBlobsDir, ".tmp-456")}
+	for _, p := range strays {
+		if err := os.WriteFile(p, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2 := NewCoordinator(cfg)
+	defer c2.Close(context.Background())
+	for _, p := range strays {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stray temp file %s survived the restart: %v", p, err)
+		}
+	}
+	if got := c2.Placements()["aa11"]; got != "w1" {
+		t.Fatalf("placement aa11 on %q after restart, want w1", got)
+	}
+	c2.mu.Lock()
+	blob := c2.placements["aa11"].blob
+	c2.mu.Unlock()
+	if !bytes.Equal(blob, []byte("checkpoint")) {
+		t.Fatalf("blob after restart = %q, want the spilled checkpoint", blob)
+	}
+}
+
+// TestJournalRetiredSnapshotFrame: record type 8 was the whole-state
+// snapshot older compactions wrote. It is reserved, so a journal holding
+// one replays as corrupt and the coordinator takes the quarantine and
+// reconstruction path.
+func TestJournalRetiredSnapshotFrame(t *testing.T) {
+	dir := t.TempDir()
+	j, err := openJournal(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := j.append(func(w *snap.Writer) {
+		w.Byte(8)
+		w.Uvarint(3) // epoch, then empty worker/placement/finished tables
+		w.Uvarint(0)
+		w.Uvarint(0)
+		w.Uvarint(0)
+	}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	j.close()
+	if _, _, ok, err := replayJournal(dir); ok || err == nil {
+		t.Fatalf("type-8 frame replayed: ok=%v err=%v", ok, err)
 	}
 }

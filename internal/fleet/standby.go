@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/snap"
 )
@@ -21,15 +22,6 @@ import (
 // primary misses its lease the standby takes over — it bumps the fencing
 // epoch above anything the primary ever journaled, which workers enforce:
 // the old primary's next write is answered 412 and it fences itself.
-
-// headerJournalGen / headerJournalNext frame the journal-tail protocol:
-// the generation changes on every compaction (a stale generation means
-// "rebuild from the snapshot I just sent you"), and next is the offset to
-// poll from.
-const (
-	headerJournalGen  = "X-Raced-Journal-Gen"
-	headerJournalNext = "X-Raced-Journal-Next"
-)
 
 // standbyState is the tail cursor plus the shadow the tail builds.
 type standbyState struct {
@@ -104,11 +96,11 @@ func (c *Coordinator) pollPrimary() bool {
 	if err != nil {
 		return false
 	}
-	gen, _ := strconv.ParseUint(resp.Header.Get(headerJournalGen), 10, 64)
-	next, _ := strconv.ParseInt(resp.Header.Get(headerJournalNext), 10, 64)
+	gen, _ := strconv.ParseUint(resp.Header.Get(api.HeaderJournalGen), 10, 64)
+	next, _ := strconv.ParseInt(resp.Header.Get(api.HeaderJournalNext), 10, 64)
 	if gen != s.gen {
-		// Compaction on the primary: the payload restarts from the
-		// snapshot frame, so the shadow rebuilds from scratch.
+		// Compaction on the primary: the payload restarts from the top
+		// of the rewritten log, so the shadow rebuilds from scratch.
 		s.shadow = newJournalState()
 		s.gen = gen
 	}
@@ -185,7 +177,7 @@ func (c *Coordinator) installShadow(st *journalState) {
 }
 
 // takeover promotes this standby to primary: bump the fencing epoch above
-// everything the old primary journaled, persist a snapshot to our own
+// everything the old primary journaled, compact the shadow into our own
 // journal, give re-registering workers a grace window, and start serving.
 // Workers learn the new epoch from their next heartbeat ack and from then
 // on answer the old primary's writes 412 — it can no longer move, place,
@@ -211,7 +203,7 @@ func (c *Coordinator) takeover() {
 	workers := len(c.workers)
 	c.mu.Unlock()
 	c.standbyMode.Store(false)
-	c.recordEpoch(epoch)
+	c.record("epoch", epochRec(epoch))
 	if c.journal != nil {
 		if err := c.journal.compact(c.snapshotState()); err != nil {
 			c.journalErr("takeover snapshot", err)

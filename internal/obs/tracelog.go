@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"sort"
 	"sync"
 	"time"
@@ -101,13 +99,6 @@ func (l *TraceLog) filter(keep func(*Span) bool) []Span {
 	l.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
-}
-
-// NewTraceID mints a 16-hex-char random trace id.
-func NewTraceID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
 }
 
 // ValidID reports whether s is a well-formed trace id for header

@@ -44,16 +44,6 @@ func TestTraceLogFilters(t *testing.T) {
 	}
 }
 
-func TestNewTraceID(t *testing.T) {
-	a, b := NewTraceID(), NewTraceID()
-	if len(a) != 16 || !ValidID(a) {
-		t.Errorf("bad trace id %q", a)
-	}
-	if a == b {
-		t.Error("trace ids must be unique")
-	}
-}
-
 func TestValidID(t *testing.T) {
 	for id, want := range map[string]bool{
 		"abc123":                 true,

@@ -2,16 +2,18 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -34,7 +36,7 @@ import (
 
 const (
 	ckptSuffix       = ".ckpt"
-	storeCkptName    = "reports" + ckptSuffix
+	storeID          = "reports" // the report store's file: reports.ckpt
 	maxCkptID        = 128
 	maxCkptEngines   = 16
 	maxCkptHeaderLen = 64 << 20
@@ -153,42 +155,14 @@ func restoreSession(r io.Reader, now time.Time) (*session, error) {
 
 // --- server-side checkpoint plumbing ---
 
-func (s *Server) ckptPath(id string) string {
-	return filepath.Join(s.cfg.CheckpointDir, id+ckptSuffix)
-}
-
-// writeFileAtomic writes via a temp file and rename, so a crash mid-write
-// leaves either the old checkpoint or none — never a torn file under the
-// final name.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // checkpointStore persists the dedup report store. Called whenever entries
 // may have been folded in (finish, evict, shutdown) and on the periodic
 // checkpoint tick.
 func (s *Server) checkpointStore() {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckpts == nil {
 		return
 	}
-	err := writeFileAtomic(filepath.Join(s.cfg.CheckpointDir, storeCkptName), s.store.Snapshot)
-	if err != nil {
+	if err := s.ckpts.Put(storeID, s.store.Snapshot); err != nil {
 		s.cfg.Logger.Error("report store checkpoint failed", "err", err)
 	}
 }
@@ -197,7 +171,7 @@ func (s *Server) checkpointStore() {
 // scheduler key so it serializes with chunk ingestion.
 func (s *Server) checkpointSession(sess *session) error {
 	t0 := time.Now()
-	err := writeFileAtomic(s.ckptPath(sess.id), sess.snapshotTo)
+	err := s.ckpts.Put(sess.id, sess.snapshotTo)
 	s.obs.checkpoint.ObserveSince(t0)
 	sp := obs.Span{Trace: sess.trace(""), Session: sess.id, Name: "checkpoint",
 		Start: t0, Duration: time.Since(t0).Seconds()}
@@ -213,10 +187,10 @@ func (s *Server) checkpointSession(sess *session) error {
 // two at worst re-counts the session's races as one extra trace — it never
 // loses them.
 func (s *Server) dropSessionCheckpoint(id string) {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckpts == nil {
 		return
 	}
-	if err := os.Remove(s.ckptPath(id)); err != nil && !os.IsNotExist(err) {
+	if err := s.ckpts.Remove(id); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.cfg.Logger.Warn("removing session checkpoint failed", "session", id, "err", err)
 	}
 }
@@ -225,7 +199,7 @@ func (s *Server) dropSessionCheckpoint(id string) {
 // Each session snapshot is scheduled under the session's key; saturated
 // submissions are skipped (the next tick retries).
 func (s *Server) checkpointAll(wait bool) (done int) {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckpts == nil {
 		return 0
 	}
 	s.checkpointStore()
@@ -274,21 +248,22 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// restoreCheckpoints loads the report store and every session checkpoint in
-// CheckpointDir. Corrupt or over-limit checkpoints are skipped with a log
-// line — a torn file from a crash must not stop the server from coming up.
+// restoreCheckpoints opens CheckpointDir and loads the report store and
+// every session checkpoint in it. Corrupt or over-limit checkpoints are
+// skipped with a log line — a torn file from a crash must not stop the
+// server from coming up. An unusable directory leaves checkpointing off.
 func (s *Server) restoreCheckpoints() {
-	dir := s.cfg.CheckpointDir
-	if dir == "" {
+	if s.cfg.CheckpointDir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.cfg.Logger.Error("checkpoint dir unusable", "dir", dir, "err", err)
+	d, err := durable.OpenDir(s.cfg.CheckpointDir, ckptSuffix)
+	if err != nil {
+		s.cfg.Logger.Error("checkpoint dir unusable", "dir", s.cfg.CheckpointDir, "err", err)
 		return
 	}
-	if f, err := os.Open(filepath.Join(dir, storeCkptName)); err == nil {
-		store, rerr := report.RestoreStore(f)
-		f.Close()
+	s.ckpts = d
+	if data, err := d.Get(storeID); err == nil {
+		store, rerr := report.RestoreStore(bytes.NewReader(data))
 		if rerr != nil {
 			s.cfg.Logger.Warn("report store checkpoint unreadable, starting empty", "err", rerr)
 		} else {
@@ -297,37 +272,34 @@ func (s *Server) restoreCheckpoints() {
 				"classes", store.Len(), "observations", store.Observations())
 		}
 	}
-	entries, err := os.ReadDir(dir)
+	ids, err := d.List()
 	if err != nil {
-		s.cfg.Logger.Error("reading checkpoint dir failed", "dir", dir, "err", err)
+		s.cfg.Logger.Error("reading checkpoint dir failed", "dir", s.cfg.CheckpointDir, "err", err)
 		return
 	}
 	now := time.Now()
-	for _, de := range entries {
-		name := de.Name()
-		if name == storeCkptName || !strings.HasSuffix(name, ckptSuffix) || de.IsDir() {
+	for _, id := range ids {
+		if id == storeID {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		f, err := os.Open(path)
+		data, err := d.Get(id)
 		if err != nil {
-			s.cfg.Logger.Warn("opening checkpoint failed", "checkpoint", name, "err", err)
+			s.cfg.Logger.Warn("opening checkpoint failed", "checkpoint", id, "err", err)
 			continue
 		}
-		sess, rerr := restoreSession(f, now)
-		f.Close()
+		sess, rerr := restoreSession(bytes.NewReader(data), now)
 		if rerr != nil {
-			s.cfg.Logger.Warn("checkpoint unreadable, skipping", "checkpoint", name, "err", rerr)
+			s.cfg.Logger.Warn("checkpoint unreadable, skipping", "checkpoint", id, "err", rerr)
 			continue
 		}
-		if sess.id+ckptSuffix != name {
+		if sess.id != id {
 			s.cfg.Logger.Warn("checkpoint names a different session, skipping",
-				"checkpoint", name, "session", sess.id)
+				"checkpoint", id, "session", sess.id)
 			continue
 		}
-		d := sess.header.Dims()
-		if d.Threads > s.cfg.MaxThreads || max(d.Locks, d.Vars, d.Locs) > s.cfg.MaxSymbols {
-			s.cfg.Logger.Warn("checkpoint exceeds configured limits, skipping", "checkpoint", name)
+		dims := sess.header.Dims()
+		if dims.Threads > s.cfg.MaxThreads || max(dims.Locks, dims.Vars, dims.Locs) > s.cfg.MaxSymbols {
+			s.cfg.Logger.Warn("checkpoint exceeds configured limits, skipping", "checkpoint", id)
 			continue
 		}
 		s.instrument(sess)
@@ -339,7 +311,7 @@ func (s *Server) restoreCheckpoints() {
 		}
 		s.mu.Unlock()
 		if full {
-			s.cfg.Logger.Warn("session limit reached, checkpoint not restored", "checkpoint", name)
+			s.cfg.Logger.Warn("session limit reached, checkpoint not restored", "checkpoint", id)
 			continue
 		}
 		s.noteSessionState(sess)
@@ -373,12 +345,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusConflict, "server has no checkpoint directory configured")
+	if s.ckpts == nil {
+		api.WriteError(w, http.StatusConflict, "server has no checkpoint directory configured")
 		return
 	}
 	n := s.checkpointAll(true)
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": n})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"sessions": n})
 }
 
 // handleSessionSnapshot (GET /sessions/{id}/snapshot) streams the session's
@@ -388,7 +360,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	var buf bytes.Buffer
@@ -400,7 +372,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if snapErr != nil {
-		writeError(w, http.StatusConflict, "%v", snapErr)
+		api.WriteError(w, http.StatusConflict, "%v", snapErr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -421,18 +393,18 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sess, err := restoreSession(body, time.Now())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "restore: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	d := sess.header.Dims()
 	if d.Threads > s.cfg.MaxThreads || max(d.Locks, d.Vars, d.Locs) > s.cfg.MaxSymbols {
-		writeError(w, http.StatusBadRequest, "snapshot exceeds configured limits")
+		api.WriteError(w, http.StatusBadRequest, "snapshot exceeds configured limits")
 		return
 	}
 	// A failover restore re-attaches the session's original request trace:
 	// the coordinator forwards the id it recorded at create time, so one
 	// trace id spans the session's life across worker deaths.
-	sess.traceID = traceIDFrom(r)
+	sess.traceID = api.TraceIDFrom(r)
 	s.instrument(sess)
 	s.applyCompactPolicy(sess)
 	s.mu.Lock()
@@ -443,7 +415,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if exists {
-		writeError(w, http.StatusConflict, "session %s already open", sess.id)
+		api.WriteError(w, http.StatusConflict, "session %s already open", sess.id)
 		return
 	}
 	if full {
@@ -459,5 +431,5 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Logger.Info("session restored via API",
 		"session", sess.id, "trace", sess.traceID, "events", sess.events)
 	st := sess.status()
-	writeJSON(w, http.StatusOK, map[string]any{"id": sess.id, "events": st.Events, "chunks": st.Chunks})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"id": sess.id, "events": st.Events, "chunks": st.Chunks})
 }

@@ -325,3 +325,40 @@ func TestEvictionSealsEngines(t *testing.T) {
 		t.Fatalf("aborted session was not sealed")
 	}
 }
+
+// TestRestartSweepsTempFiles: a checkpoint write killed between creating
+// its temp file and renaming it leaves the temp behind; the next server on
+// the directory removes it and still restores the real checkpoints.
+func TestRestartSweepsTempFiles(t *testing.T) {
+	tr := gen.Random(gen.RandomConfig{Seed: 11, Events: 8000, Threads: 4, Locks: 2, Vars: 4})
+	dir := t.TempDir()
+
+	s1, tc, kill := crashableServer(t, durableConfig(dir))
+	done := tc.createSession(tr, "wcp")
+	tc.stream(done, tr, 2)
+	tc.finish(done)
+	wantClasses := s1.store.Len()
+	open := tc.createSession(tr, "wcp")
+	tc.streamRange(open, tr, 0, 5000)
+	if resp, raw := tc.do("POST", "/checkpoint", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", resp.StatusCode, raw)
+	}
+	kill()
+
+	stray := filepath.Join(dir, ".tmp-123456")
+	if err := os.WriteFile(stray, []byte("half-written checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, tc2, kill2 := crashableServer(t, durableConfig(dir))
+	defer kill2()
+	defer s2.Close(context.Background())
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray temp file survived the restart: %v", err)
+	}
+	if got := tc2.sessionEvents(open); got != 5000 {
+		t.Fatalf("restored session at %d events, want 5000", got)
+	}
+	if got := s2.store.Len(); got != wantClasses || wantClasses == 0 {
+		t.Fatalf("restored report store has %d classes, want %d (nonzero)", got, wantClasses)
+	}
+}

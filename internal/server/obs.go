@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -92,17 +93,6 @@ func (s *Server) instrument(sess *session) {
 	}
 }
 
-// traceIDFrom extracts a well-formed trace id from the request, or "".
-// Invalid ids are dropped rather than rejected: tracing is best-effort and
-// must never fail a request.
-func traceIDFrom(r *http.Request) string {
-	id := r.Header.Get(obs.HeaderTrace)
-	if id == "" || !obs.ValidID(id) {
-		return ""
-	}
-	return id
-}
-
 // registerMetrics wires every server-level series into the registry. The
 // raced_* names predate the registry and are scraped by smoke scripts and
 // dashboards — they are load-bearing, do not rename them.
@@ -172,14 +162,14 @@ func (s *Server) registerMetrics() {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		api.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	spans := s.obs.trace.ByTrace(id)
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"trace": id, "spans": spans})
 }
 
 // handleDebugSession (GET /debug/sessions/{id}) returns one session's
@@ -188,12 +178,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validSessionID(id) {
-		writeError(w, http.StatusBadRequest, "bad session id %q", id)
+		api.WriteError(w, http.StatusBadRequest, "bad session id %q", id)
 		return
 	}
 	spans := s.obs.trace.BySession(id)
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"session": id, "spans": spans})
 }

@@ -3,11 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
-	"io"
-	"os"
 	"sort"
-	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Memory-pressure management: Config.StateBudgetBytes caps the summed
@@ -138,12 +137,8 @@ func (s *Server) parkSession(sess *session) bool {
 			// sessions keep their latched error visible until idle eviction.
 			return
 		}
-		if s.cfg.CheckpointDir != "" {
-			werr := writeFileAtomic(s.ckptPath(sess.id), func(w io.Writer) error {
-				_, err := w.Write(buf.Bytes())
-				return err
-			})
-			if werr != nil {
+		if s.ckpts != nil {
+			if werr := s.ckpts.Put(sess.id, durable.Bytes(buf.Bytes())); werr != nil {
 				s.cfg.Logger.Error("parking session failed", "session", sess.id, "err", werr)
 				return
 			}
@@ -174,11 +169,6 @@ func (s *Server) liveSession(id string) *session {
 }
 
 func (s *Server) unpark(id string) *session {
-	// The id names a checkpoint file in dir mode: refuse path metacharacters
-	// before they reach the filesystem. Real ids are hex.
-	if id == "" || strings.ContainsAny(id, "/\\.") {
-		return nil
-	}
 	var blob []byte
 	s.parkedMu.Lock()
 	if rec, ok := s.parked[id]; ok {
@@ -186,27 +176,15 @@ func (s *Server) unpark(id string) *session {
 		delete(s.parked, id)
 	}
 	s.parkedMu.Unlock()
-
-	var sess *session
-	switch {
-	case blob != nil:
-		var err error
-		if sess, err = restoreSession(bytes.NewReader(blob), time.Now()); err != nil {
-			s.cfg.Logger.Error("parked session unrestorable", "session", id, "err", err)
-			return nil
-		}
-	case s.cfg.CheckpointDir != "":
-		f, err := os.Open(s.ckptPath(id))
-		if err != nil {
-			return nil // not parked, plain unknown session
-		}
-		sess, err = restoreSession(f, time.Now())
-		f.Close()
-		if err != nil || sess.id != id {
-			s.cfg.Logger.Error("checkpoint for session unrestorable", "session", id, "err", err)
-			return nil
-		}
-	default:
+	if blob == nil && s.ckpts != nil {
+		blob, _ = s.ckpts.Get(id) // the Dir refuses ids that are not plain names
+	}
+	if blob == nil {
+		return nil // not parked, plain unknown session
+	}
+	sess, err := restoreSession(bytes.NewReader(blob), time.Now())
+	if err != nil || sess.id != id {
+		s.cfg.Logger.Error("parked session unrestorable", "session", id, "err", err)
 		return nil
 	}
 
@@ -234,14 +212,7 @@ func (s *Server) dropParked(id string) bool {
 	_, ok := s.parked[id]
 	delete(s.parked, id)
 	s.parkedMu.Unlock()
-	if ok {
-		s.dropSessionCheckpoint(id)
-		return true
-	}
-	if s.cfg.CheckpointDir == "" || id == "" || strings.ContainsAny(id, "/\\.") {
-		return false
-	}
-	return os.Remove(s.ckptPath(id)) == nil
+	return ok || (s.ckpts != nil && s.ckpts.Remove(id) == nil)
 }
 
 // pruneParked finalizes in-memory parked sessions that have been idle past

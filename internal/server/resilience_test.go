@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/gen"
@@ -50,8 +51,8 @@ func (tc *testClient) sendChunkAt(id string, offset uint64, body []byte) (*http.
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	req.Header.Set(HeaderChunkOffset, strconv.FormatUint(offset, 10))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(offset, true, body))
+	req.Header.Set(api.HeaderOffset, strconv.FormatUint(offset, 10))
+	req.Header.Set(api.HeaderCRC, chunkCRC(offset, true, body))
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		tc.t.Fatal(err)
@@ -184,8 +185,8 @@ func TestChunkCRCMismatch(t *testing.T) {
 	bad := append([]byte(nil), body...)
 	bad[len(bad)/2] ^= 0x10
 	req, _ := http.NewRequest("POST", tc.base+"/sessions/"+id+"/chunks", bytes.NewReader(bad))
-	req.Header.Set(HeaderChunkOffset, "0")
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, true, body))
+	req.Header.Set(api.HeaderOffset, "0")
+	req.Header.Set(api.HeaderCRC, chunkCRC(0, true, body))
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +200,8 @@ func TestChunkCRCMismatch(t *testing.T) {
 	// was computed over — a flipped offset digit must not misalign the
 	// replay-skip, so the binding check rejects it.
 	req, _ = http.NewRequest("POST", tc.base+"/sessions/"+id+"/chunks", bytes.NewReader(body))
-	req.Header.Set(HeaderChunkOffset, "0")
-	req.Header.Set(HeaderChunkCRC, chunkCRC(10, true, body))
+	req.Header.Set(api.HeaderOffset, "0")
+	req.Header.Set(api.HeaderCRC, chunkCRC(10, true, body))
 	resp, err = tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestCreateSessionCRCMismatch(t *testing.T) {
 	bad[len(bad)-1] ^= 0x01
 
 	req, _ := http.NewRequest("POST", tc.base+"/sessions?engines=wcp", bytes.NewReader(bad))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, false, good))
+	req.Header.Set(api.HeaderCRC, chunkCRC(0, false, good))
 	resp, err := tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +252,7 @@ func TestCreateSessionCRCMismatch(t *testing.T) {
 	}
 
 	req, _ = http.NewRequest("POST", tc.base+"/sessions?engines=wcp", bytes.NewReader(good))
-	req.Header.Set(HeaderChunkCRC, chunkCRC(0, false, good))
+	req.Header.Set(api.HeaderCRC, chunkCRC(0, false, good))
 	resp, err = tc.c.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -33,44 +30,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/server/sched"
 	"repro/internal/traceio"
-)
-
-// Resilient-chunk protocol headers. A client that declares its chunk's
-// absolute event offset gets idempotent, exactly-once analysis (replays of
-// acknowledged events are skipped); a client that declares a CRC32 gets
-// end-to-end integrity — a request corrupted in transit is rejected with
-// 422 before it can touch detector state, and the client simply resends
-// it. Clients using neither header get the legacy
-// append-exactly-once-or-bust behavior.
-const (
-	// HeaderChunkOffset carries the absolute index of the chunk's first
-	// event within the session's trace.
-	HeaderChunkOffset = "X-Raced-Offset"
-	// HeaderChunkCRC carries a decimal CRC32 (IEEE). It covers
-	// "<offset>:<body>" when HeaderChunkOffset is present and the bare body
-	// otherwise — binding the offset into the checksum means a corrupted
-	// offset header can never misalign the replay-skip logic: the server
-	// recomputes with the offset it parsed, and any disagreement is a 422.
-	HeaderChunkCRC = "X-Raced-Crc32"
-	// HeaderSessionID, on POST /sessions, names the session to create
-	// instead of letting the server mint an id. A fleet coordinator uses it
-	// so consistent-hash placement can be decided from the id before any
-	// worker is contacted, and so a failed-over session can be re-created
-	// elsewhere under its original identity.
-	HeaderSessionID = "X-Raced-Session-Id"
-	// HeaderEpoch carries the coordinator's fencing epoch on proxied
-	// mutating requests. The server keeps the maximum epoch it has ever
-	// seen (heartbeat acks raise it too, via NoteCoordinatorEpoch) and
-	// answers anything lower with 412: a superseded coordinator — a
-	// "zombie" primary whose standby already took over — can never place,
-	// feed, or finish a session here. Requests without the header (direct
-	// single-node clients) are never fenced.
-	HeaderEpoch = "X-Raced-Epoch"
 )
 
 // validSessionID accepts the ids the server itself mints plus anything a
@@ -93,13 +59,13 @@ func validSessionID(id string) bool {
 // checkCRC verifies the declared checksum, when present, against the
 // request's effective offset and body. A non-nil error is the 422 message.
 func checkCRC(r *http.Request, body []byte, offset uint64, hasOffset bool) error {
-	v := r.Header.Get(HeaderChunkCRC)
+	v := r.Header.Get(api.HeaderCRC)
 	if v == "" {
 		return nil
 	}
 	want, err := strconv.ParseUint(v, 10, 32)
 	if err != nil {
-		return fmt.Errorf("bad %s header %q", HeaderChunkCRC, v)
+		return fmt.Errorf("bad %s header %q", api.HeaderCRC, v)
 	}
 	h := crc32.NewIEEE()
 	if hasOffset {
@@ -244,6 +210,10 @@ type Server struct {
 	finished map[string]sessionFinished
 	finOrder []string
 
+	// ckpts is CheckpointDir opened for session and report-store
+	// checkpoints; nil when checkpointing is off.
+	ckpts *durable.Dir
+
 	// parked holds pressure-evicted sessions in serialized form when no
 	// CheckpointDir is configured (with one, the checkpoint file is the
 	// parking spot). stateTotal is the live sum of cached per-session
@@ -341,7 +311,7 @@ func New(cfg Config) *Server {
 	} else {
 		close(s.janitorDone)
 	}
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
+	if s.ckpts != nil && cfg.CheckpointEvery > 0 {
 		go s.checkpointLoop()
 	} else {
 		close(s.ckptDone)
@@ -397,7 +367,7 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 	s.sessions = make(map[string]*session)
 	s.mu.Unlock()
-	if s.cfg.CheckpointDir != "" {
+	if s.ckpts != nil {
 		kept := 0
 		for _, sess := range open {
 			// The scheduler is drained, so writing directly is serialized.
@@ -488,33 +458,15 @@ func (s *Server) getSession(id string) *session {
 
 // --- helpers ---
 
-type apiError struct {
-	Error  string `json:"error"`
-	Offset int64  `json:"offset,omitempty"`
-	Event  int64  `json:"event,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeDecodeError maps a chunk/trace decode failure to 400 with the
 // offset/event context the traceio layer captured.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var de *traceio.DecodeError
 	if errors.As(err, &de) {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: de.Error(), Offset: de.Offset, Event: de.Event})
+		api.WriteJSON(w, http.StatusBadRequest, api.Error{Msg: de.Error(), Offset: de.Offset, Event: de.Event})
 		return
 	}
-	writeError(w, http.StatusBadRequest, "%v", err)
+	api.WriteError(w, http.StatusBadRequest, "%v", err)
 }
 
 // retryAfterSecs derives the Retry-After hint from live scheduler pressure
@@ -534,7 +486,7 @@ func (s *Server) retryAfterSecs(floor int) int {
 func (s *Server) shed429(w http.ResponseWriter, floor int, format string, args ...any) {
 	s.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(floor)))
-	writeError(w, http.StatusTooManyRequests, format, args...)
+	api.WriteError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // shedOrFail maps scheduler admission errors: saturation is 429 with a
@@ -545,9 +497,9 @@ func (s *Server) shedOrFail(w http.ResponseWriter, err error) {
 		s.shed429(w, 1, "analysis queue saturated, retry later")
 	case errors.Is(err, sched.ErrDraining), s.draining.Load():
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(1)))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -593,7 +545,7 @@ func (s *Server) recallFinished(id string) (sessionFinished, bool) {
 
 func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return true
 	}
 	return false
@@ -615,15 +567,15 @@ func (s *Server) NoteCoordinatorEpoch(e uint64) {
 // CoordinatorEpoch reports the highest coordinator epoch seen.
 func (s *Server) CoordinatorEpoch() uint64 { return s.coordEpoch.Load() }
 
-// refuseFenced rejects a mutating request stamped (via HeaderEpoch) with a
-// coordinator epoch below the fence. 412 is deliberate: the fleet client
+// refuseFenced rejects a mutating request stamped (via api.HeaderEpoch)
+// with a coordinator epoch below the fence. 412 is deliberate: the fleet client
 // treats it as retryable, so a client talking through a zombie coordinator
 // rotates to the live one instead of giving up; the zombie itself fences
 // on seeing it. The current fence rides back in the response header. An
 // absent or malformed header passes — direct clients are never fenced —
 // and a higher epoch advances the fence right here.
 func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
-	v := r.Header.Get(HeaderEpoch)
+	v := r.Header.Get(api.HeaderEpoch)
 	if v == "" {
 		return false
 	}
@@ -633,21 +585,13 @@ func (s *Server) refuseFenced(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if cur := s.coordEpoch.Load(); e < cur {
 		s.epochRejects.Add(1)
-		w.Header().Set(HeaderEpoch, strconv.FormatUint(cur, 10))
-		writeError(w, http.StatusPreconditionFailed,
+		w.Header().Set(api.HeaderEpoch, strconv.FormatUint(cur, 10))
+		api.WriteError(w, http.StatusPreconditionFailed,
 			"coordinator epoch %d is fenced (worker has seen %d)", e, cur)
 		return true
 	}
 	s.NoteCoordinatorEpoch(e)
 	return false
-}
-
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand never fails on supported platforms
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // engineNames parses the ?engines=a,b,c parameter, defaulting to the
@@ -725,36 +669,36 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tStart := time.Now()
-	traceID := traceIDFrom(r)
+	traceID := api.TraceIDFrom(r)
 	names := s.engineNames(r)
 	makers := make([]engine.SessionEngine, len(names))
 	for i, name := range names {
 		e, err := engine.New(name, s.cfg.Engine)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		se, ok := e.(engine.SessionEngine)
 		if !ok {
-			writeError(w, http.StatusBadRequest,
+			api.WriteError(w, http.StatusBadRequest,
 				"engine %q cannot run as a streaming session (streaming engines: wcp, wcp-epoch, hb, hb-epoch)", name)
 			return
 		}
 		makers[i] = se
 	}
 
-	// Buffer the header body so an optional HeaderChunkCRC can vouch for it
+	// Buffer the header body so an optional CRC header can vouch for it
 	// before it shapes detector allocation: a bit flipped inside a symbol
 	// name would otherwise decode cleanly and silently skew every report.
 	s.setIngestDeadline(w)
 	hdrBody, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading session header: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "reading session header: %v", err)
 		return
 	}
 	if cerr := checkCRC(r, hdrBody, 0, false); cerr != nil {
 		s.integrityRejects.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "session header %v", cerr)
+		api.WriteError(w, http.StatusUnprocessableEntity, "session header %v", cerr)
 		return
 	}
 	h, err := traceio.ReadHeader(bytes.NewReader(hdrBody))
@@ -764,16 +708,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	d := h.Dims()
 	if d.Threads == 0 {
-		writeError(w, http.StatusBadRequest, "header declares no threads")
+		api.WriteError(w, http.StatusBadRequest, "header declares no threads")
 		return
 	}
 	if d.Threads > s.cfg.MaxThreads {
-		writeError(w, http.StatusBadRequest,
+		api.WriteError(w, http.StatusBadRequest,
 			"header declares %d threads, limit is %d (detector state is O(threads²))", d.Threads, s.cfg.MaxThreads)
 		return
 	}
 	if max(d.Locks, d.Vars, d.Locs) > s.cfg.MaxSymbols {
-		writeError(w, http.StatusBadRequest,
+		api.WriteError(w, http.StatusBadRequest,
 			"header declares %d locks / %d vars / %d locations, per-table limit is %d",
 			d.Locks, d.Vars, d.Locs, s.cfg.MaxSymbols)
 		return
@@ -790,15 +734,15 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// Detector allocation (the expensive part) happens outside the sessions
 	// mutex; the limit is re-checked at insertion, so it stays strict.
-	id := r.Header.Get(HeaderSessionID)
+	id := r.Header.Get(api.HeaderSessionID)
 	if id != "" {
 		if !validSessionID(id) {
-			writeError(w, http.StatusBadRequest,
-				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", HeaderSessionID, id)
+			api.WriteError(w, http.StatusBadRequest,
+				"bad %s %q: 1-64 characters of [a-zA-Z0-9_-]", api.HeaderSessionID, id)
 			return
 		}
 	} else {
-		id = newID()
+		id = api.NewID()
 	}
 	engines := make([]engine.Session, len(makers))
 	for i, se := range makers {
@@ -815,7 +759,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	_, exists := s.sessions[id]
 	if exists || isParked {
 		s.mu.Unlock()
-		writeError(w, http.StatusConflict, "session %s already open", id)
+		api.WriteError(w, http.StatusConflict, "session %s already open", id)
 		return
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
@@ -836,7 +780,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 	resp := sessionCreated{ID: id, Engines: names}
 	resp.Dims.Threads, resp.Dims.Locks, resp.Dims.Vars, resp.Dims.Locs = d.Threads, d.Locks, d.Vars, d.Locs
-	writeJSON(w, http.StatusCreated, resp)
+	api.WriteJSON(w, http.StatusCreated, resp)
 }
 
 // handleChunk ingests one chunk of the session's event body. The request
@@ -845,8 +789,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 //
 // The whole body is buffered before any detector sees it: a connection
 // dropped mid-chunk costs nothing — the session stays at its last
-// acknowledged event and the client's resend (with HeaderChunkOffset)
-// replays the prefix idempotently. A HeaderChunkCRC mismatch rejects the
+// acknowledged event and the client's resend (with an offset header)
+// replays the prefix idempotently. A CRC header mismatch rejects the
 // chunk with 422 before ingestion, so a body corrupted in transit can never
 // poison detector state; the client just resends.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
@@ -859,16 +803,16 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 
 	var offset uint64
 	var hasOffset bool
-	if v := r.Header.Get(HeaderChunkOffset); v != "" {
+	if v := r.Header.Get(api.HeaderOffset); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad %s header %q", HeaderChunkOffset, v)
+			api.WriteError(w, http.StatusBadRequest, "bad %s header %q", api.HeaderOffset, v)
 			return
 		}
 		offset, hasOffset = n, true
@@ -877,16 +821,16 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.setIngestDeadline(w)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading chunk body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "reading chunk body: %v", err)
 		return
 	}
 	if cerr := checkCRC(r, body, offset, hasOffset); cerr != nil {
 		s.integrityRejects.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "chunk %v", cerr)
+		api.WriteError(w, http.StatusUnprocessableEntity, "chunk %v", cerr)
 		return
 	}
 
-	traceID := traceIDFrom(r)
+	traceID := api.TraceIDFrom(r)
 	var added, replayed uint64
 	var ingestErr error
 	ingest := func(target *session) error {
@@ -929,17 +873,13 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		var gap *gapError
 		switch {
 		case errors.Is(ingestErr, errSessionClosed):
-			writeError(w, http.StatusConflict, "session %s is closed", id)
+			api.WriteError(w, http.StatusConflict, "session %s is closed", id)
 		case errors.As(ingestErr, &gap):
 			// The client is ahead of the ack (a lost chunk, or a resume
 			// against older server state): hand back the acknowledged offset
 			// so it can rewind precisely instead of guessing.
 			s.gapRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  gap.Error(),
-				"events": gap.acked,
-				"gap":    true,
-			})
+			api.WriteJSON(w, http.StatusConflict, api.Error{Msg: gap.Error(), Events: gap.acked, Gap: true})
 		default:
 			writeDecodeError(w, ingestErr)
 		}
@@ -947,7 +887,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	s.chunksIngested.Add(1)
 	st := sess.status()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"id": id, "events": st.Events, "chunks": st.Chunks, "replayed": replayed,
 	})
 }
@@ -982,22 +922,22 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	// rejection, so the client replays the lost tail instead of silently
 	// sealing a truncated session.
 	wantOffset := int64(-1)
-	if v := r.Header.Get("X-Raced-Offset"); v != "" {
+	if v := r.Header.Get(api.HeaderOffset); v != "" {
 		n, perr := strconv.ParseUint(v, 10, 63)
 		if perr != nil {
-			writeError(w, http.StatusBadRequest, "bad X-Raced-Offset %q", v)
+			api.WriteError(w, http.StatusBadRequest, "bad %s header %q", api.HeaderOffset, v)
 			return
 		}
 		wantOffset = int64(n)
 	}
-	traceID := traceIDFrom(r)
+	traceID := api.TraceIDFrom(r)
 	sess := s.liveSession(id)
 	if sess == nil {
 		if resp, ok := s.recallFinished(id); ok {
-			writeJSON(w, http.StatusOK, resp)
+			api.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	// Two attempts: the session can be pressure-parked between resolution
@@ -1049,15 +989,12 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		}
 		if gapped {
 			s.gapRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  fmt.Sprintf("session %s has %d acknowledged events, finish expected %d", id, gapEvents, wantOffset),
-				"events": gapEvents,
-				"gap":    true,
-			})
+			api.WriteJSON(w, http.StatusConflict, api.Error{Gap: true, Events: gapEvents,
+				Msg: fmt.Sprintf("session %s has %d acknowledged events, finish expected %d", id, gapEvents, wantOffset)})
 			return
 		}
 		if done {
-			writeJSON(w, http.StatusOK, resp)
+			api.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		fresh := s.liveSession(id)
@@ -1066,7 +1003,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		}
 		sess = fresh
 	}
-	writeError(w, http.StatusConflict, "session %s is already closed", id)
+	api.WriteError(w, http.StatusConflict, "session %s is already closed", id)
 }
 
 // handleAbort discards a session without reporting. A parked session is
@@ -1079,17 +1016,17 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	sess := s.removeSession(id)
 	if sess == nil {
 		if !s.dropParked(id) {
-			writeError(w, http.StatusNotFound, "unknown session %q", id)
+			api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
 		return
 	}
 	sess.abort()
 	s.noteSessionState(sess)
 	s.noteArenaAfterSeal(sess)
 	s.dropSessionCheckpoint(id)
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "aborted": true})
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
@@ -1098,10 +1035,10 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	// a fault must see a parked session's acknowledged event count.
 	sess := s.liveSession(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.status())
+	api.WriteJSON(w, http.StatusOK, sess.status())
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -1116,7 +1053,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 		out[i] = sess.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Created.Before(out[j].Created) })
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
 
 // --- one-shot analysis ---
@@ -1134,7 +1071,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, name := range names {
 		e, err := engine.New(name, s.cfg.Engine)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		engines[i] = e
@@ -1144,7 +1081,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	id := "analyze-" + newID()
+	id := "analyze-" + api.NewID()
 	var results []*engine.Result
 	if err := s.sched.Do(r.Context(), id, func() {
 		results = make([]*engine.Result, len(engines))
@@ -1164,7 +1101,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = renderResult(res, len(tr.Events), h)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- reports, health, metrics ---
@@ -1179,7 +1116,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("min_count"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad min_count %q", v)
+			api.WriteError(w, http.StatusBadRequest, "bad min_count %q", v)
 			return
 		}
 		f.MinCount = n
@@ -1187,7 +1124,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			api.WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		f.Limit = n
@@ -1196,7 +1133,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if entries == nil {
 		entries = []report.Entry{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"total":   s.store.Len(),
 		"matched": len(entries),
 		"reports": entries,
@@ -1220,7 +1157,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.parkedMu.Lock()
 	parked := len(s.parked)
 	s.parkedMu.Unlock()
-	writeJSON(w, code, map[string]any{
+	api.WriteJSON(w, code, map[string]any{
 		"status":          status,
 		"sessions":        open + parked, // what Stats reports to the fleet
 		"sessions_open":   open,

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/trace"
@@ -280,7 +281,7 @@ func TestChunkDecodeError(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated chunk: %d %s, want 400", resp.StatusCode, raw)
 	}
-	var e apiError
+	var e api.Error
 	if err := json.Unmarshal(raw, &e); err != nil {
 		t.Fatal(err)
 	}

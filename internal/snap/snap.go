@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Magic identifies a snapshot frame. The trailing byte doubles as a
@@ -198,8 +199,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if size > maxPayload {
 		return nil, errf("payload length %d exceeds limit", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, size)
+	if err != nil {
 		return nil, errf("truncated payload: %v", err)
 	}
 	var sum [4]byte
@@ -210,6 +211,24 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, errf("checksum mismatch")
 	}
 	return &Reader{buf: buf}, nil
+}
+
+// readPayload reads exactly n bytes, allocating at most 1 MiB ahead of the
+// bytes actually read: a corrupt length on a short stream costs no more
+// memory than the stream holds.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	const step = 1 << 20
+	buf := make([]byte, 0, min(n, step))
+	for uint64(len(buf)) < n {
+		next := int(min(n-uint64(len(buf)), step))
+		buf = slices.Grow(buf, next)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+next])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Uvarint decodes an unsigned varint.

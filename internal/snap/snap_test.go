@@ -2,8 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -175,5 +177,25 @@ func TestBoundsEnforced(t *testing.T) {
 	var de *DecodeError
 	if _, err := r.String(3); !errors.As(err, &de) {
 		t.Fatalf("expected bound DecodeError, got %v", err)
+	}
+}
+
+// TestShortStreamBoundedAllocation: a frame whose length field promises far
+// more payload than the stream holds fails as truncated without allocating
+// the promised size.
+func TestShortStreamBoundedAllocation(t *testing.T) {
+	hdr := append(append([]byte{}, magic[:]...), Version)
+	hdr = binary.AppendUvarint(hdr, maxPayload)
+	data := append(hdr, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	var de *DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("expected truncation DecodeError, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("decoding a 100-byte stream allocated %d bytes", got)
 	}
 }
