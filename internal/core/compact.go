@@ -129,7 +129,7 @@ func (d *Detector) Compact() {
 			continue
 		}
 		if vs.readAll.Ready() || vs.writeAll.Ready() || vs.wLast != vc.NoEpoch ||
-			vs.rLast != vc.NoEpoch || vs.reads != nil || vs.writes != nil ||
+			vs.rLast != vc.NoEpoch || vs.reads.Len() > 0 || vs.writes.Len() > 0 ||
 			vs.wEpoch != vc.NoEpoch || vs.rEpoch != vc.NoEpoch || vs.rShared != nil ||
 			vs.wOrdered || vs.rOrdered {
 			*vs = varState{}
@@ -163,8 +163,8 @@ func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 	if vs.rShared != nil && !vs.rShared.Leq(floor) {
 		return false
 	}
-	// Pair-mode access cells are joins' inputs to readAll/writeAll, so the
-	// aggregate domination above already covers them.
+	// Pair-mode cells only hold components of the access times joined into
+	// readAll/writeAll, so the aggregate domination above covers them.
 	return true
 }
 
@@ -278,7 +278,7 @@ func quiescePair(pair *relPair, x int32, ri *relIndex, ctFloor vc.VC) int {
 }
 
 // StateBytes estimates the detector's retained state in bytes: clock
-// storage, queue buffers, rule-(a) records, and per-variable maps. It is
+// storage, queue buffers, rule-(a) records, and pair-tracking cells. It is
 // an estimate for compaction budgets and soak assertions, not an exact
 // heap measurement.
 func (d *Detector) StateBytes() int {
@@ -305,7 +305,7 @@ func (d *Detector) StateBytes() int {
 			n += width * clockB
 		}
 		n += len(vs.rShared) * clockB
-		n += (len(vs.reads) + len(vs.writes)) * (width*clockB + 24)
+		n += vs.reads.Bytes() + vs.writes.Bytes()
 	}
 	for _, ls := range d.locks {
 		if ls == nil {

@@ -21,7 +21,8 @@
 //     ⊑ Ct (rule (b));
 //   - per variable: read/write timestamp joins Rx and Wx for race checking
 //     (§3.2 end), refined per program location so distinct race *pairs* of
-//     locations are reported exactly (Table 1 metric).
+//     locations are reported exactly (Table 1 metric) — race.Cells, which
+//     keeps one own-component clock per accessing thread and location.
 //
 // The hot path applies several work-avoidance layers on top of Algorithm 1,
 // none of which changes what the algorithm computes (the property tests pin
@@ -46,8 +47,10 @@
 //     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
 //     once Pt dominates the static ancestry clock, and collapses to one
 //     epoch compare while a variable's accesses stay totally ordered
-//     (Lemma C.8); the cached per-thread materialization remains for the
-//     pair-tracking and timestamp-collection paths;
+//     (Lemma C.8); the cached per-thread materialization remains for
+//     timestamp collection, for naming partner locations once the
+//     pair-tracking check has failed, and for cell records made while
+//     fork/join ancestry is active;
 //   - every clock is windowed (vc.WC): joins, comparisons, copies and
 //     queue records touch only each clock's dirty window, so per-event
 //     clock work scales with how many threads actually communicated, not
@@ -460,12 +463,6 @@ type lockState struct {
 	own []ownQ
 }
 
-// accessCell tracks accesses at one (variable, location, kind).
-type accessCell struct {
-	time vc.VC
-	last int
-}
-
 // varState is the per-variable race-checking state. Vector-clock mode uses
 // the first four fields; epoch mode (Options.EpochCheck) uses the last
 // three.
@@ -494,8 +491,9 @@ type varState struct {
 	wPure    bool
 	rPure    bool
 
-	reads  map[event.Loc]*accessCell
-	writes map[event.Loc]*accessCell
+	// reads/writes are the pair-tracking cell tables (Options.TrackPairs).
+	reads  race.Cells
+	writes race.Cells
 
 	wEpoch  vc.Epoch
 	rEpoch  vc.Epoch
@@ -1296,12 +1294,6 @@ func effComp(p, o *vc.WC, t int, n vc.Clock, oZero bool, i int) vc.Clock {
 	return c
 }
 
-// joinEff sets dst to dst ⊔ (p ⊔ o)[t := n], merging only the dirty
-// windows of p and o.
-func joinEff(dst, p, o *vc.WC, t int, n vc.Clock, oZero bool) {
-	dst.JoinEff(p, o, t, n, oZero)
-}
-
 // check performs the race check of §3.2: for a read, Wx ⊑ Ce must hold; for
 // a write, Rx ⊔ Wx ⊑ Ce must hold. With pair tracking, the per-location
 // cells identify the partner location(s) exactly.
@@ -1347,7 +1339,7 @@ func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 			}
 			vs.wLast = vc.MakeEpoch(t, n)
 			vs.wPure = oZero
-			joinEff(&vs.writeAll, p, o, t, n, oZero)
+			vs.writeAll.JoinEff(p, o, t, n, oZero)
 		} else {
 			if !vs.readAll.Ready() {
 				vs.readAll.Init(len(d.threads))
@@ -1366,59 +1358,48 @@ func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 			}
 			vs.rLast = vc.MakeEpoch(t, n)
 			vs.rPure = oZero
-			joinEff(&vs.readAll, p, o, t, n, oZero)
+			vs.readAll.JoinEff(p, o, t, n, oZero)
 		}
 		return
 	}
-	// Pair-tracking path: the per-location cells identify partner locations.
-	now := d.effectiveTime(t)
-	nowV := now.VC()
-	racy := false
-	var ctx race.Ctx
-	scan := func(cells map[event.Loc]*accessCell) {
-		for ploc, c := range cells {
-			if !c.time.Leq(nowV) {
-				if !racy {
-					ctx = d.raceCtx(t, x)
-				}
-				racy = true
-				d.res.Report.RecordCtx(ploc, loc, i, i-c.last, ctx)
+	// Pair-tracking path: the aggregate compare is the full vector check,
+	// with no epoch gate, and only a failing one walks the cells to name
+	// the partner locations.
+	ts := &d.threads[t]
+	p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
+	racyW := vs.writeAll.Ready() && !leqEff(&vs.writeAll, p, o, t, n, oZero)
+	racyR := isWrite && vs.readAll.Ready() && !leqEff(&vs.readAll, p, o, t, n, oZero)
+	if racyW || racyR {
+		now := d.effectiveTime(t).VC()
+		ctx := d.raceCtx(t, x)
+		racy := racyW && vs.writes.Check(d.res.Report, now, i, loc, ctx)
+		if racyR && vs.reads.Check(d.res.Report, now, i, loc, ctx) {
+			racy = true
+		}
+		if racy {
+			d.res.RacyEvents++
+			if d.res.FirstRace < 0 {
+				d.res.FirstRace = i
 			}
 		}
 	}
-	if vs.writeAll.Ready() && !vs.writeAll.LeqVC(nowV) {
-		scan(vs.writes)
-	}
-	if isWrite && vs.readAll.Ready() && !vs.readAll.LeqVC(nowV) {
-		scan(vs.reads)
-	}
-	if racy {
-		d.res.RacyEvents++
-		if d.res.FirstRace < 0 {
-			d.res.FirstRace = i
-		}
-	}
-	// Record this access.
-	n := len(d.threads)
-	var all *vc.WC
-	var cells *map[event.Loc]*accessCell
+	// Record this access: a pure time by its own component alone, a time
+	// with fork/join ancestry whole (see race.Cells).
+	all, cells := &vs.readAll, &vs.reads
 	if isWrite {
 		all, cells = &vs.writeAll, &vs.writes
-	} else {
-		all, cells = &vs.readAll, &vs.reads
 	}
 	if !all.Ready() {
-		all.Init(n)
-		*cells = make(map[event.Loc]*accessCell)
+		all.Init(len(d.threads))
 	}
-	all.Join(now)
-	c, ok := (*cells)[loc]
-	if !ok {
-		c = &accessCell{time: vc.New(n)}
-		(*cells)[loc] = c
+	all.JoinEff(p, o, t, n, oZero)
+	if oZero {
+		cells.Record(loc, i, t, []vc.Clock{n}, len(d.threads))
+	} else {
+		eff := d.effectiveTime(t)
+		lo, hi := eff.Span()
+		cells.Record(loc, i, lo, eff.VC()[lo:hi], len(d.threads))
 	}
-	c.time.Join(nowV)
-	c.last = i
 }
 
 // raceCtx captures the fingerprint context of a race observed at thread t

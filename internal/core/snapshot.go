@@ -110,6 +110,7 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	}
 	w.Uvarint(uint64(live))
 	prev := 0
+	tmp := vc.New(len(d.threads))
 	for x := range d.vars {
 		vs := &d.vars[x]
 		if varFresh(vs) {
@@ -117,7 +118,7 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		}
 		w.Uvarint(uint64(x - prev))
 		prev = x
-		encodeVar(w, vs)
+		encodeVar(w, vs, tmp)
 	}
 	return nil
 }
@@ -126,7 +127,7 @@ func varFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
 		vs.wLast == vc.NoEpoch && vs.rLast == vc.NoEpoch &&
 		!vs.wOrdered && !vs.rOrdered && !vs.wPure && !vs.rPure &&
-		vs.reads == nil && vs.writes == nil &&
+		vs.reads.Len() == 0 && vs.writes.Len() == 0 &&
 		vs.wEpoch == vc.NoEpoch && vs.rEpoch == vc.NoEpoch && vs.rShared == nil
 }
 
@@ -156,47 +157,6 @@ func decodeVarSet(rd *snap.Reader, s *varSet, nvars int) error {
 	}
 	if len(s.list) != n {
 		return &snap.DecodeError{Reason: "duplicate variable in access set"}
-	}
-	return nil
-}
-
-func encodeWC(w *snap.Writer, c *vc.WC) {
-	if !c.Ready() {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.Sparse(c.VC())
-}
-
-// decodeWC restores a clock written by encodeWC into c, initializing it at
-// the given width when present. Set rebuilds the dirty window tightly.
-func decodeWC(rd *snap.Reader, c *vc.WC, width int, tmp vc.VC) error {
-	ok, err := rd.Bool()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	if !c.Ready() {
-		c.Init(width)
-	}
-	return decodeReadyWC(rd, c, tmp)
-}
-
-// decodeReadyWC fills an already-initialized clock from a bare sparse
-// vector.
-func decodeReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
-	tmp.Zero()
-	if err := rd.Sparse(tmp); err != nil {
-		return err
-	}
-	c.Zero()
-	for i, v := range tmp {
-		if v != 0 {
-			c.Set(i, v)
-		}
 	}
 	return nil
 }
@@ -242,7 +202,7 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 	}
 	rt.ta = ta
 	rt.ha.Init(width)
-	if err := decodeReadyWC(rd, &rt.ha, tmp); err != nil {
+	if err := rd.ReadyClock(&rt.ha, tmp); err != nil {
 		return err
 	}
 	if kind == 2 {
@@ -255,7 +215,7 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 		}
 		rt.tb = tb
 		rt.hb.Init(width)
-		if err := decodeReadyWC(rd, &rt.hb, tmp); err != nil {
+		if err := rd.ReadyClock(&rt.hb, tmp); err != nil {
 			return err
 		}
 	}
@@ -267,7 +227,7 @@ func decodeRelTimes(rd *snap.Reader, rt *relTimes, width int, tmp vc.VC) error {
 }
 
 func encodeLock(w *snap.Writer, ls *lockState) {
-	encodeWC(w, &ls.hl)
+	w.Clock(&ls.hl)
 	if ls.hl.Ready() {
 		w.Sparse(ls.pl.VC())
 	}
@@ -315,12 +275,12 @@ func encodeLock(w *snap.Writer, ls *lockState) {
 
 func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	width := len(d.threads)
-	if err := decodeWC(rd, &ls.hl, width, tmp); err != nil {
+	if err := rd.Clock(&ls.hl, tmp); err != nil {
 		return err
 	}
 	if ls.hl.Ready() {
 		ls.pl.Init(width)
-		if err := decodeReadyWC(rd, &ls.pl, tmp); err != nil {
+		if err := rd.ReadyClock(&ls.pl, tmp); err != nil {
 			return err
 		}
 		// One release has happened; restore the release counter to a live
@@ -413,7 +373,7 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	return nil
 }
 
-func encodeVar(w *snap.Writer, vs *varState) {
+func encodeVar(w *snap.Writer, vs *varState, tmp vc.VC) {
 	var fb byte
 	if vs.wOrdered {
 		fb |= 1
@@ -431,8 +391,8 @@ func encodeVar(w *snap.Writer, vs *varState) {
 		fb |= 16
 	}
 	w.Byte(fb)
-	encodeWC(w, &vs.readAll)
-	encodeWC(w, &vs.writeAll)
+	w.Clock(&vs.readAll)
+	w.Clock(&vs.writeAll)
 	w.Uvarint(uint64(vs.wLast))
 	w.Uvarint(uint64(vs.rLast))
 	w.Uvarint(uint64(vs.wEpoch))
@@ -440,8 +400,8 @@ func encodeVar(w *snap.Writer, vs *varState) {
 	if vs.rShared != nil {
 		w.Sparse(vs.rShared)
 	}
-	encodeCells(w, vs.reads)
-	encodeCells(w, vs.writes)
+	vs.reads.EncodeSnapshot(w, tmp)
+	vs.writes.EncodeSnapshot(w, tmp)
 }
 
 func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
@@ -457,10 +417,10 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 	vs.rOrdered = fb&2 != 0
 	vs.wPure = fb&4 != 0
 	vs.rPure = fb&8 != 0
-	if err := decodeWC(rd, &vs.readAll, width, tmp); err != nil {
+	if err := rd.Clock(&vs.readAll, tmp); err != nil {
 		return err
 	}
-	if err := decodeWC(rd, &vs.writeAll, width, tmp); err != nil {
+	if err := rd.Clock(&vs.writeAll, tmp); err != nil {
 		return err
 	}
 	var e uint64
@@ -486,10 +446,10 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 			return err
 		}
 	}
-	if vs.reads, err = decodeCells(rd, width, tmp); err != nil {
+	if vs.reads, err = race.DecodeCells(rd, tmp); err != nil {
 		return err
 	}
-	if vs.writes, err = decodeCells(rd, width, tmp); err != nil {
+	if vs.writes, err = race.DecodeCells(rd, tmp); err != nil {
 		return err
 	}
 	if varFresh(vs) {
@@ -498,84 +458,6 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 		return &snap.DecodeError{Reason: "fresh variable encoded"}
 	}
 	return nil
-}
-
-func encodeCells(w *snap.Writer, cells map[event.Loc]*accessCell) {
-	if cells == nil {
-		w.Uvarint(0)
-		w.Bool(false)
-		return
-	}
-	locs := make([]event.Loc, 0, len(cells))
-	for loc := range cells {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	w.Uvarint(uint64(len(locs)))
-	w.Bool(true)
-	prev := event.Loc(0)
-	first := true
-	for _, loc := range locs {
-		if first {
-			w.Int(int(loc))
-			first = false
-		} else {
-			w.Uvarint(uint64(loc - prev))
-		}
-		prev = loc
-		c := cells[loc]
-		w.Int(c.last)
-		w.Sparse(c.time)
-	}
-}
-
-func decodeCells(rd *snap.Reader, width int, tmp vc.VC) (map[event.Loc]*accessCell, error) {
-	n, err := rd.Count(maxSnapCells)
-	if err != nil {
-		return nil, err
-	}
-	present, err := rd.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		if n != 0 {
-			return nil, &snap.DecodeError{Reason: "cells marked absent with entries"}
-		}
-		return nil, nil
-	}
-	cells := make(map[event.Loc]*accessCell, n)
-	loc := event.Loc(0)
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			v, err := rd.I32()
-			if err != nil {
-				return nil, err
-			}
-			loc = event.Loc(v)
-		} else {
-			d, err := rd.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if d == 0 {
-				return nil, &snap.DecodeError{Reason: "non-increasing cell location"}
-			}
-			loc += event.Loc(d)
-		}
-		c := &accessCell{time: vc.New(width)}
-		if c.last, err = rd.Int(); err != nil {
-			return nil, err
-		}
-		if err := rd.Sparse(c.time); err != nil {
-			return nil, err
-		}
-		if _, dup := cells[loc]; dup {
-			return nil, &snap.DecodeError{Reason: "duplicate cell location"}
-		}
-		cells[loc] = c
-	}
-	return cells, nil
 }
 
 // DecodeSnapshot reconstructs a detector from a payload written by
@@ -653,13 +535,13 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 		if ts.n, err = rd.I32(); err != nil {
 			return nil, err
 		}
-		if err := decodeReadyWC(rd, &ts.p, tmp); err != nil {
+		if err := rd.ReadyClock(&ts.p, tmp); err != nil {
 			return nil, err
 		}
-		if err := decodeReadyWC(rd, &ts.h, tmp); err != nil {
+		if err := rd.ReadyClock(&ts.h, tmp); err != nil {
 			return nil, err
 		}
-		if err := decodeReadyWC(rd, &ts.o, tmp); err != nil {
+		if err := rd.ReadyClock(&ts.o, tmp); err != nil {
 			return nil, err
 		}
 		depth, err := rd.Count(maxSnapCells)
@@ -684,7 +566,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 			}
 			if e.hasCt {
 				e.ctAcq.Init(threads)
-				if err := decodeReadyWC(rd, &e.ctAcq, tmp); err != nil {
+				if err := rd.ReadyClock(&e.ctAcq, tmp); err != nil {
 					return nil, err
 				}
 			}

@@ -118,7 +118,7 @@ func (d *Detector) StateBytes() int {
 		if vs.writeAll.Ready() {
 			n += d.width * clockB
 		}
-		n += (len(vs.reads) + len(vs.writes)) * (d.width*clockB + 24)
+		n += vs.reads.Bytes() + vs.writes.Bytes()
 	}
 	n += len(d.evars) * 24
 	return n

@@ -68,13 +68,6 @@ type Result struct {
 	Events int
 }
 
-// cell tracks the accesses at one (variable, location, kind): the join of
-// their HB times plus the most recent event index for distance accounting.
-type cell struct {
-	time vc.VC
-	last int
-}
-
 // accessKey is the per-variable access cache: the identity of the last
 // read (or write) of the variable — thread, the thread clock's generation,
 // and the change stamps of the peer aggregate clocks the check compared
@@ -103,8 +96,7 @@ type varState struct {
 	// the access caches (vector mode without pair tracking only).
 	rStamp, wStamp uint32
 	lastR, lastW   accessKey
-	reads          map[event.Loc]*cell
-	writes         map[event.Loc]*cell
+	reads, writes  race.Cells // pair-tracking cell tables
 }
 
 // hbLock is the per-lock state: the windowed clock of the last release
@@ -179,32 +171,6 @@ func (d *Detector) flag(i int) {
 	if d.res.FirstRace < 0 {
 		d.res.FirstRace = i
 	}
-}
-
-// checkAgainst flags races between event i (location loc, time now, thread
-// t, variable x) and every prior access recorded in cells whose time is not
-// ⊑ now.
-func (d *Detector) checkAgainst(cells map[event.Loc]*cell, now vc.VC, i int, loc event.Loc, t int, x event.VID) bool {
-	racy := false
-	for ploc, c := range cells {
-		if !c.time.Leq(now) {
-			racy = true
-			if d.res.Report != nil {
-				d.res.Report.RecordCtx(ploc, loc, i, i-c.last, race.Ctx{Var: x, Locks: d.held[t]})
-			}
-		}
-	}
-	return racy
-}
-
-func (d *Detector) record(cells map[event.Loc]*cell, loc event.Loc, now vc.VC, i int) {
-	c, ok := cells[loc]
-	if !ok {
-		c = &cell{time: vc.New(d.width)}
-		cells[loc] = c
-	}
-	c.time.Join(now)
-	c.last = i
 }
 
 // Process feeds the next event of the trace to the detector.
@@ -304,26 +270,20 @@ func (d *Detector) read(i, t int, x event.VID, loc event.Loc) {
 		}
 	}
 	racy := vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
+	if racy && d.res.Report != nil {
+		racy = vs.writes.Check(d.res.Report, now.VC(), i, loc, race.Ctx{Var: x, Locks: d.held[t]})
+	}
 	if racy {
-		if d.res.Report != nil {
-			if d.checkAgainst(vs.writes, now.VC(), i, loc, t, x) {
-				d.flag(i)
-			}
-		} else {
-			d.flag(i)
-		}
+		d.flag(i)
 	}
 	if !vs.readAll.Ready() {
 		vs.readAll.Init(d.width)
-		if d.res.Report != nil {
-			vs.reads = make(map[event.Loc]*cell)
-		}
 	}
 	if vs.readAll.Join(now) {
 		vs.rStamp++
 	}
 	if d.res.Report != nil {
-		d.record(vs.reads, loc, now.VC(), i)
+		vs.reads.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
 	} else if d.cache {
 		vs.lastR = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), wStamp: vs.wStamp}
 	}
@@ -340,18 +300,13 @@ func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 			return
 		}
 	}
-	racy := false
-	if vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC()) {
-		if d.res.Report != nil {
-			racy = d.checkAgainst(vs.writes, now.VC(), i, loc, t, x) || racy
-		} else {
-			racy = true
-		}
-	}
-	if vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC()) {
-		if d.res.Report != nil {
-			racy = d.checkAgainst(vs.reads, now.VC(), i, loc, t, x) || racy
-		} else {
+	racyW := vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
+	racyR := vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC())
+	racy := racyW || racyR
+	if racy && d.res.Report != nil {
+		ctx := race.Ctx{Var: x, Locks: d.held[t]}
+		racy = racyW && vs.writes.Check(d.res.Report, now.VC(), i, loc, ctx)
+		if racyR && vs.reads.Check(d.res.Report, now.VC(), i, loc, ctx) {
 			racy = true
 		}
 	}
@@ -360,15 +315,12 @@ func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 	}
 	if !vs.writeAll.Ready() {
 		vs.writeAll.Init(d.width)
-		if d.res.Report != nil {
-			vs.writes = make(map[event.Loc]*cell)
-		}
 	}
 	if vs.writeAll.Join(now) {
 		vs.wStamp++
 	}
 	if d.res.Report != nil {
-		d.record(vs.writes, loc, now.VC(), i)
+		vs.writes.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
 	} else if d.cache {
 		vs.lastW = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), rStamp: vs.rStamp, wStamp: vs.wStamp}
 	}

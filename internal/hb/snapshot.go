@@ -1,8 +1,6 @@
 package hb
 
 import (
-	"sort"
-
 	"repro/internal/event"
 	"repro/internal/race"
 	"repro/internal/snap"
@@ -108,6 +106,7 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	}
 	w.Uvarint(uint64(live))
 	prev := 0
+	tmp := vc.New(d.width)
 	for x := range d.vars {
 		vs := &d.vars[x]
 		if hbVarFresh(vs) {
@@ -115,122 +114,21 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 		}
 		w.Uvarint(uint64(x - prev))
 		prev = x
-		encodeHBWC(w, &vs.readAll)
-		encodeHBWC(w, &vs.writeAll)
-		encodeHBCells(w, vs.reads)
-		encodeHBCells(w, vs.writes)
+		w.Clock(&vs.readAll)
+		w.Clock(&vs.writeAll)
+		vs.reads.EncodeSnapshot(w, tmp)
+		vs.writes.EncodeSnapshot(w, tmp)
 	}
 	return nil
 }
 
 func hbVarFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
-		vs.reads == nil && vs.writes == nil
+		vs.reads.Len() == 0 && vs.writes.Len() == 0
 }
 
 func evarFresh(vs *ftVar) bool {
 	return vs.w == vc.NoEpoch && vs.r == vc.NoEpoch && vs.shared == nil
-}
-
-func encodeHBWC(w *snap.Writer, c *vc.WC) {
-	if !c.Ready() {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.Sparse(c.VC())
-}
-
-func encodeHBCells(w *snap.Writer, cells map[event.Loc]*cell) {
-	if cells == nil {
-		w.Uvarint(0)
-		w.Bool(false)
-		return
-	}
-	locs := make([]event.Loc, 0, len(cells))
-	for loc := range cells {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	w.Uvarint(uint64(len(locs)))
-	w.Bool(true)
-	prev := event.Loc(0)
-	first := true
-	for _, loc := range locs {
-		if first {
-			w.Int(int(loc))
-			first = false
-		} else {
-			w.Uvarint(uint64(loc - prev))
-		}
-		prev = loc
-		c := cells[loc]
-		w.Int(c.last)
-		w.Sparse(c.time)
-	}
-}
-
-func decodeHBReadyWC(rd *snap.Reader, c *vc.WC, tmp vc.VC) error {
-	tmp.Zero()
-	if err := rd.Sparse(tmp); err != nil {
-		return err
-	}
-	c.Zero()
-	for i, v := range tmp {
-		if v != 0 {
-			c.Set(i, v)
-		}
-	}
-	return nil
-}
-
-func decodeHBCells(rd *snap.Reader, width int) (map[event.Loc]*cell, error) {
-	n, err := rd.Count(maxSnapCells)
-	if err != nil {
-		return nil, err
-	}
-	present, err := rd.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if !present {
-		if n != 0 {
-			return nil, &snap.DecodeError{Reason: "cells marked absent with entries"}
-		}
-		return nil, nil
-	}
-	cells := make(map[event.Loc]*cell, n)
-	loc := event.Loc(0)
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			v, err := rd.I32()
-			if err != nil {
-				return nil, err
-			}
-			loc = event.Loc(v)
-		} else {
-			d, err := rd.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if d == 0 {
-				return nil, &snap.DecodeError{Reason: "non-increasing cell location"}
-			}
-			loc += event.Loc(d)
-		}
-		c := &cell{time: vc.New(width)}
-		if c.last, err = rd.Int(); err != nil {
-			return nil, err
-		}
-		if err := rd.Sparse(c.time); err != nil {
-			return nil, err
-		}
-		if _, dup := cells[loc]; dup {
-			return nil, &snap.DecodeError{Reason: "duplicate cell location"}
-		}
-		cells[loc] = c
-	}
-	return cells, nil
 }
 
 // DecodeSnapshot reconstructs a detector from a payload written by
@@ -294,7 +192,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 			return nil, &snap.DecodeError{Reason: "bad thread flags"}
 		}
 		d.joined[t] = fb&1 != 0
-		if err := decodeHBReadyWC(rd, &d.ct[t], tmp); err != nil {
+		if err := rd.ReadyClock(&d.ct[t], tmp); err != nil {
 			return nil, err
 		}
 		if d.held != nil {
@@ -321,7 +219,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 		}
 		lk := &hbLock{joinGen: make([]uint32, d.width)}
 		lk.c.Init(d.width)
-		if err := decodeHBReadyWC(rd, &lk.c, tmp); err != nil {
+		if err := rd.ReadyClock(&lk.c, tmp); err != nil {
 			return nil, err
 		}
 		// At least one release has happened; gen=1 with cold join caches
@@ -378,29 +276,16 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 			continue
 		}
 		vs := &d.vars[x]
-		rdy, err := rd.Bool()
-		if err != nil {
+		if err := rd.Clock(&vs.readAll, tmp); err != nil {
 			return nil, err
 		}
-		if rdy {
-			vs.readAll.Init(threads)
-			if err := decodeHBReadyWC(rd, &vs.readAll, tmp); err != nil {
-				return nil, err
-			}
-		}
-		if rdy, err = rd.Bool(); err != nil {
+		if err := rd.Clock(&vs.writeAll, tmp); err != nil {
 			return nil, err
 		}
-		if rdy {
-			vs.writeAll.Init(threads)
-			if err := decodeHBReadyWC(rd, &vs.writeAll, tmp); err != nil {
-				return nil, err
-			}
-		}
-		if vs.reads, err = decodeHBCells(rd, threads); err != nil {
+		if vs.reads, err = race.DecodeCells(rd, tmp); err != nil {
 			return nil, err
 		}
-		if vs.writes, err = decodeHBCells(rd, threads); err != nil {
+		if vs.writes, err = race.DecodeCells(rd, tmp); err != nil {
 			return nil, err
 		}
 		if hbVarFresh(vs) {

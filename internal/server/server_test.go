@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -400,6 +401,55 @@ func TestGracefulShutdown(t *testing.T) {
 	resp, _ = tc.do("POST", "/sessions", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("create after close: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestReportsListDeterministic: two fresh servers fed the same trace list
+// the same race classes first under a limit. The store keeps classes in
+// first-seen order, which follows the detectors' pair order, so this pins
+// that order end to end — GET /reports?limit=N must not return a different
+// subset for identical input. The trace's last write races with eight reads
+// at once, so the limit cuts through the pairs of one observation.
+func TestReportsListDeterministic(t *testing.T) {
+	b := trace.NewBuilder()
+	for k := 1; k <= 8; k++ {
+		b.At(fmt.Sprintf("reader%d.go:1", k)).Read(fmt.Sprintf("t%d", k), "x")
+	}
+	b.At("writer.go:1").Write("t0", "x")
+	tr := b.MustBuild()
+	type class struct {
+		Engine string `json:"engine"`
+		LocA   string `json:"loc_a"`
+		LocB   string `json:"loc_b"`
+		Var    string `json:"var"`
+		Locks  string `json:"locks"`
+		Count  int64  `json:"count"`
+	}
+	list := func() []class {
+		_, tc := newTestServer(t, Config{Workers: 2})
+		id := tc.createSession(tr, "wcp,hb")
+		tc.stream(id, tr, 3)
+		tc.finish(id)
+		resp, raw := tc.do("GET", "/reports?limit=5", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reports: %d %s", resp.StatusCode, raw)
+		}
+		var out struct {
+			Reports []class `json:"reports"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Reports
+	}
+	first := list()
+	if len(first) != 5 {
+		t.Fatalf("listed %d classes, want 5", len(first))
+	}
+	for run := 1; run < 4; run++ {
+		if again := list(); !slices.Equal(again, first) {
+			t.Fatalf("run %d lists different classes for identical input:\n%+v\nvs\n%+v", run, again, first)
+		}
 	}
 }
 

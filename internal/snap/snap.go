@@ -22,6 +22,8 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+
+	"repro/internal/vc"
 )
 
 // Magic identifies a snapshot frame. The trailing byte doubles as a
@@ -128,6 +130,15 @@ func (w *Writer) Sparse(v []int32) {
 		w.Uvarint(uint64(i - prev))
 		w.Varint(int64(c))
 		prev = i
+	}
+}
+
+// Clock appends an optional clock: whether it is initialized, then its
+// components as a sparse vector if so.
+func (w *Writer) Clock(c *vc.WC) {
+	w.Bool(c.Ready())
+	if c.Ready() {
+		w.Sparse(c.VC())
 	}
 }
 
@@ -370,6 +381,10 @@ func (r *Reader) Sparse(dst []int32) error {
 		if err != nil {
 			return err
 		}
+		if d >= uint64(len(dst)) {
+			// Checked before the addition: a huge delta would wrap idx.
+			return errf("sparse index step %d out of range %d", d, len(dst))
+		}
 		if idx < 0 {
 			idx = int(d)
 		} else {
@@ -391,6 +406,35 @@ func (r *Reader) Sparse(dst []int32) error {
 		dst[idx] = v
 	}
 	return nil
+}
+
+// ReadyClock fills an initialized clock from a sparse vector, using tmp
+// (of the clock's width) as scratch. Set rebuilds the dirty window tightly.
+func (r *Reader) ReadyClock(c *vc.WC, tmp vc.VC) error {
+	tmp.Zero()
+	if err := r.Sparse(tmp); err != nil {
+		return err
+	}
+	c.Zero()
+	for i, v := range tmp {
+		if v != 0 {
+			c.Set(i, v)
+		}
+	}
+	return nil
+}
+
+// Clock decodes a clock written by Writer.Clock into c, initializing it at
+// width len(tmp) when present.
+func (r *Reader) Clock(c *vc.WC, tmp vc.VC) error {
+	ok, err := r.Bool()
+	if err != nil || !ok {
+		return err
+	}
+	if !c.Ready() {
+		c.Init(len(tmp))
+	}
+	return r.ReadyClock(c, tmp)
 }
 
 // Len returns the total payload length.

@@ -180,6 +180,29 @@ func TestBoundsEnforced(t *testing.T) {
 	}
 }
 
+// TestSparseIndexOverflow: a sparse vector whose first index or delta is
+// too large for the destination fails with a DecodeError instead of
+// wrapping the index negative and panicking.
+func TestSparseIndexOverflow(t *testing.T) {
+	for _, steps := range [][]uint64{{1 << 63}, {1, 1<<64 - 1}, {2, 1 << 62}} {
+		b := frame(t, func(w *Writer) {
+			w.Uvarint(uint64(len(steps)))
+			for _, d := range steps {
+				w.Uvarint(d)
+				w.Varint(5)
+			}
+		})
+		r, err := NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("reader: %v", err)
+		}
+		var de *DecodeError
+		if err := r.Sparse(make([]int32, 9)); !errors.As(err, &de) {
+			t.Fatalf("steps %v: expected a DecodeError, got %v", steps, err)
+		}
+	}
+}
+
 // TestShortStreamBoundedAllocation: a frame whose length field promises far
 // more payload than the stream holds fails as truncated without allocating
 // the promised size.

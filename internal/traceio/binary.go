@@ -181,7 +181,21 @@ func headerError(br *binaryReader, err error) *DecodeError {
 
 type binaryReader struct {
 	br  *bufio.Reader
-	off int64 // bytes consumed so far
+	src io.Reader // br's source, when known: its unread length bounds the input
+	off int64     // bytes consumed so far
+}
+
+// inputBound returns an upper bound on the input bytes left to read, as
+// far as the reader can tell: what is buffered, plus the unread length of a
+// source that reports one (bytes.Reader, strings.Reader, bytes.Buffer). A
+// source of unknown length adds nothing, so a caller sizing an allocation
+// by the bound grows past it only as input actually arrives.
+func (r *binaryReader) inputBound() uint64 {
+	n := r.br.Buffered()
+	if l, ok := r.src.(interface{ Len() int }); ok {
+		n += l.Len()
+	}
+	return uint64(n)
 }
 
 // ReadByte implements io.ByteReader, counting consumed bytes so decode
@@ -244,11 +258,13 @@ func readBinaryHeader(br *binaryReader) (*event.Symbols, [4]uint64, uint64, erro
 			return nil, counts, 0, headerError(br, fmt.Errorf("reading symbol counts: %w", noEOF(err)))
 		}
 	}
+	// Every name takes at least one byte, so the input left bounds each
+	// table: a corrupt or hostile count cannot make a short header
+	// allocate more than its bytes could name.
 	syms := &event.Symbols{}
-	const maxPrealloc = 1 << 24 // don't let a corrupt header allocate wildly
-	if counts[0] < maxPrealloc && counts[1] < maxPrealloc && counts[2] < maxPrealloc && counts[3] < maxPrealloc {
-		syms.Preallocate(int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
-	}
+	bound := br.inputBound()
+	syms.Preallocate(int(min(counts[0], bound)), int(min(counts[1], bound)),
+		int(min(counts[2], bound)), int(min(counts[3], bound)))
 	interners := [4]func(string){
 		func(s string) { syms.Thread(s) },
 		func(s string) { syms.Lock(s) },
@@ -391,7 +407,7 @@ func WriteHeader(w io.Writer, syms *event.Symbols, nevents int) error {
 // past the header's last byte (buffering), so r should contain only a
 // header; to decode header and body from one stream use OpenStream.
 func ReadHeader(r io.Reader) (Header, error) {
-	br := &binaryReader{br: bufio.NewReader(r)}
+	br := &binaryReader{br: bufio.NewReader(r), src: r}
 	syms, _, nev, err := readBinaryHeader(br)
 	if err != nil {
 		return Header{}, err
@@ -417,12 +433,14 @@ func EncodeEvents(w io.Writer, events []event.Event) error {
 
 // ReadBinary parses a binary-format trace from r.
 func ReadBinary(r io.Reader) (*trace.Trace, error) {
-	br := &binaryReader{br: bufio.NewReader(r)}
+	br := &binaryReader{br: bufio.NewReader(r), src: r}
 	syms, counts, nev, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, nev)}
+	// An event takes at least four bytes; the declared count alone does
+	// not size the allocation.
+	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, min(nev, br.inputBound()/4))}
 	for i := uint64(0); i < nev; i++ {
 		e, err := decodeEvent(br, counts, i)
 		if err != nil {

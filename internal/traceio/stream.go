@@ -77,7 +77,7 @@ func OpenStream(r io.Reader) (*Stream, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
-		bin := &binaryReader{br: br}
+		bin := &binaryReader{br: br, src: r}
 		syms, counts, nev, err := readBinaryHeader(bin)
 		if err != nil {
 			return nil, err
