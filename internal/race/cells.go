@@ -3,6 +3,7 @@ package race
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -41,83 +42,112 @@ import (
 const fullCellWidth = 64 / 4
 
 // cellScan is the table size up to which a location is found by scanning
-// the table; larger tables are indexed by a hash map.
-const cellScan = 8
+// the table; larger tables are indexed.
+const cellScan = 16
 
-// cell is the pair-tracking state of one (variable, access kind, location).
+// cell is the pair-tracking state of one (variable, access kind, location):
+// a clock over the thread window [lo, lo+n), stored at Cells.clk[off:].
 type cell struct {
-	loc  event.Loc
-	lo   int32 // first thread id of clk's window
-	last int   // trace index of the most recent access recorded here
-	clk  vc.VC // clock components of threads lo, lo+1, …
-}
-
-// leq reports whether every access recorded in c is ⊑ now.
-func (c *cell) leq(now vc.VC) bool { return c.clk.Leq(now[c.lo:]) }
-
-// cover grows c's window to include threads [lo, hi) of a width-thread
-// clock. Growth at least doubles the window, toward the side that needed
-// it, so a cell spans the threads touching it after a few steps.
-func (c *cell) cover(lo, hi, width int) {
-	clo := int(c.lo)
-	if len(c.clk) == 0 {
-		clo = lo
-	}
-	nlo, nhi := min(lo, clo), max(hi, clo+len(c.clk))
-	size := min(max(nhi-nlo, 2*len(c.clk)), width)
-	if nlo == clo {
-		nlo = min(clo, width-size)
-	} else {
-		nlo = max(nhi-size, 0)
-	}
-	clk := make(vc.VC, size)
-	copy(clk[clo-nlo:], c.clk)
-	c.lo, c.clk = int32(nlo), clk
+	loc   event.Loc
+	lo, n int32
+	off   int32
+	last  int // trace index of the most recent access recorded here
 }
 
 // Cells is the cell table of one variable and access kind, in first-access
-// order. The zero value is an empty table.
+// order. Every cell's window lives in one shared clock slab, so a table
+// costs a few allocations however many cells it holds. The zero value is
+// an empty table.
 type Cells struct {
-	list  []cell
-	index map[event.Loc]int32 // loc → list slot, once list outgrows cellScan
+	list []cell
+	clk  []vc.Clock // the windows; never truncated, so clk[len:cap] is zero
+	// index finds a location's cell once list outgrows cellScan: an
+	// open-addressing table of list slot+1 (0 = empty), a power of two in
+	// size and at most 3/4 full, keyed through the cells' locations — four
+	// bytes a slot, where a Go map takes about sixteen an entry.
+	index []int32
 }
 
 // Len returns the number of cells.
 func (cs *Cells) Len() int { return len(cs.list) }
 
+// window returns c's clock components.
+func (cs *Cells) window(c *cell) vc.VC { return cs.clk[c.off : c.off+c.n] }
+
+// cover grows c's window to include threads [lo, hi) of a width-thread
+// clock, moving it to the end of the slab. Growth at least doubles the
+// window, toward the side that needed it, so a cell spans the threads
+// touching it after a few moves, and the slab space it leaves behind stays
+// below its live window.
+func (cs *Cells) cover(c *cell, lo, hi, width int) {
+	clo, cn := int(c.lo), int(c.n)
+	if cn == 0 {
+		clo = lo
+	}
+	nlo, nhi := min(lo, clo), max(hi, clo+cn)
+	size := min(max(nhi-nlo, 2*cn), width)
+	if nlo == clo {
+		nlo = min(clo, width-size)
+	} else {
+		nlo = max(nhi-size, 0)
+	}
+	off := len(cs.clk)
+	cs.clk = slices.Grow(cs.clk, size)[:off+size]
+	copy(cs.clk[off+clo-nlo:], cs.window(c))
+	c.lo, c.n, c.off = int32(nlo), int32(size), int32(off)
+}
+
 // at returns the cell of loc, creating it for a width-thread detector.
 func (cs *Cells) at(loc event.Loc, width int) *cell {
-	if cs.index != nil {
-		if k, ok := cs.index[loc]; ok {
-			return &cs.list[k]
-		}
-	} else {
+	if cs.index == nil {
 		for k := range cs.list {
 			if cs.list[k].loc == loc {
 				return &cs.list[k]
 			}
 		}
-	}
-	c := cell{loc: loc}
-	if width <= fullCellWidth {
-		c.clk = make(vc.VC, width)
-	}
-	return cs.add(c)
-}
-
-// add appends c and indexes it once the table outgrows a scan.
-func (cs *Cells) add(c cell) *cell {
-	cs.list = append(cs.list, c)
-	k := len(cs.list) - 1
-	if cs.index != nil {
-		cs.index[c.loc] = int32(k)
-	} else if k == cellScan {
-		cs.index = make(map[event.Loc]int32, 2*cellScan)
-		for j := range cs.list {
-			cs.index[cs.list[j].loc] = int32(j)
+	} else {
+		mask, h := cs.slot(loc)
+		for ; cs.index[h] != 0; h = (h + 1) & mask {
+			if c := &cs.list[cs.index[h]-1]; c.loc == loc {
+				return c
+			}
 		}
 	}
-	return &cs.list[k]
+	c := cs.add(cell{loc: loc})
+	if width <= fullCellWidth {
+		cs.cover(c, 0, width, width)
+	}
+	return c
+}
+
+// add appends c, indexing the table once it outgrows a scan.
+func (cs *Cells) add(c cell) *cell {
+	cs.list = append(cs.list, c)
+	n := len(cs.list)
+	if n > cellScan && 4*n > 3*len(cs.index) {
+		cs.index = make([]int32, 2*max(len(cs.index), cellScan))
+		for k := range cs.list {
+			cs.indexAdd(k)
+		}
+	} else if cs.index != nil {
+		cs.indexAdd(n - 1)
+	}
+	return &cs.list[n-1]
+}
+
+// slot returns the index mask and loc's home slot (Fibonacci hashing).
+func (cs *Cells) slot(loc event.Loc) (mask, h uint32) {
+	shift := 32 - bits.TrailingZeros(uint(len(cs.index)))
+	return uint32(len(cs.index) - 1), uint32(loc) * 0x9e3779b9 >> shift
+}
+
+// indexAdd files list slot k in the index.
+func (cs *Cells) indexAdd(k int) {
+	mask, h := cs.slot(cs.list[k].loc)
+	for cs.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	cs.index[h] = int32(k + 1)
 }
 
 // Record notes the access at trace index i and location loc, joining clk
@@ -132,10 +162,10 @@ func (cs *Cells) Record(loc event.Loc, i, lo int, clk vc.VC, width int) {
 	if len(clk) == 0 {
 		return
 	}
-	if k := lo - int(c.lo); k < 0 || k+len(clk) > len(c.clk) {
-		c.cover(lo, lo+len(clk), width)
+	if k := lo - int(c.lo); k < 0 || k+len(clk) > int(c.n) {
+		cs.cover(c, lo, lo+len(clk), width)
 	}
-	c.clk[lo-int(c.lo):].Join(clk)
+	cs.window(c)[lo-int(c.lo):].Join(clk)
 }
 
 // Check records into rep a race between the access at trace index i and
@@ -145,7 +175,7 @@ func (cs *Cells) Record(loc event.Loc, i, lo int, clk vc.VC, width int) {
 func (cs *Cells) Check(rep *Report, now vc.VC, i int, loc event.Loc, ctx Ctx) bool {
 	racy := false
 	for k := range cs.list {
-		if c := &cs.list[k]; !c.leq(now) {
+		if c := &cs.list[k]; !cs.window(c).Leq(now[c.lo:]) {
 			racy = true
 			rep.RecordCtx(c.loc, loc, i, i-c.last, ctx)
 		}
@@ -153,14 +183,12 @@ func (cs *Cells) Check(rep *Report, now vc.VC, i int, loc event.Loc, ctx Ctx) bo
 	return racy
 }
 
-// Bytes estimates the table's retained storage: cell records, their clock
-// windows, and the location index.
+// Bytes estimates the table's retained storage as its cells' records and
+// clock windows. Like the per-cell charge it replaces, it leaves out the
+// growth slack of the record list and the slab, and the location index
+// (4–8 bytes a cell in tables past cellScan).
 func (cs *Cells) Bytes() int {
-	n := cap(cs.list) * int(unsafe.Sizeof(cell{}))
-	for k := range cs.list {
-		n += cap(cs.list[k].clk) * 4
-	}
-	return n + len(cs.index)*16
+	return len(cs.list)*int(unsafe.Sizeof(cell{})) + len(cs.clk)*4
 }
 
 // maxSnapCells bounds a decoded table against hostile payloads.
@@ -182,7 +210,7 @@ func (cs *Cells) EncodeSnapshot(w *snap.Writer, tmp vc.VC) {
 		}
 		w.Int(c.last)
 		tmp.Zero()
-		copy(tmp[c.lo:], c.clk)
+		copy(tmp[c.lo:], cs.window(&c))
 		w.Sparse(tmp)
 	}
 }
@@ -241,7 +269,8 @@ func DecodeCells(rd *snap.Reader, tmp vc.VC) (Cells, error) {
 				hi--
 			}
 		}
-		c.lo, c.clk = int32(lo), tmp[lo:hi].Clone()
+		c.lo, c.n, c.off = int32(lo), int32(hi-lo), int32(len(cs.clk))
+		cs.clk = append(cs.clk, tmp[lo:hi]...)
 		cs.add(c)
 	}
 	return cs, nil

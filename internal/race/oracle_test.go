@@ -18,28 +18,38 @@ import (
 // oracleTraces yields random fork/join traces whose accesses are remapped
 // onto a few program locations per variable, so one location's cell is
 // written by several threads — the case where a cell's per-thread state
-// matters. Shapes run up to T=24, past the width where cells start full.
+// matters — or onto dozens, so cell tables outgrow a scan and are indexed.
+// Shapes run up to T=24, past the width where cells start full.
 func oracleTraces() []*trace.Trace {
-	shapes := []gen.RandomConfig{
-		{Threads: 3, Locks: 2, Vars: 2, ForkJoin: true},
-		{Threads: 4, Locks: 2, Vars: 3},
-		{Threads: 5, Locks: 3, Vars: 3, ForkJoin: true},
-		{Threads: 8, Locks: 3, Vars: 4, ForkJoin: true},
-		{Threads: 12, Locks: 4, Vars: 4, ForkJoin: true},
-		{Threads: 12, Locks: 2, Vars: 3},
-		{Threads: 24, Locks: 4, Vars: 5, ForkJoin: true},
+	shapes := []struct {
+		cfg   gen.RandomConfig
+		sites int
+	}{
+		{gen.RandomConfig{Threads: 3, Locks: 2, Vars: 2, ForkJoin: true}, 3},
+		{gen.RandomConfig{Threads: 4, Locks: 2, Vars: 3}, 3},
+		{gen.RandomConfig{Threads: 5, Locks: 3, Vars: 3, ForkJoin: true}, 3},
+		{gen.RandomConfig{Threads: 8, Locks: 3, Vars: 4, ForkJoin: true}, 3},
+		{gen.RandomConfig{Threads: 12, Locks: 4, Vars: 4, ForkJoin: true}, 3},
+		{gen.RandomConfig{Threads: 12, Locks: 2, Vars: 3}, 3},
+		{gen.RandomConfig{Threads: 24, Locks: 4, Vars: 5, ForkJoin: true}, 3},
+		{gen.RandomConfig{Threads: 6, Locks: 2, Vars: 2, ForkJoin: true}, 60},
+		{gen.RandomConfig{Threads: 24, Locks: 3, Vars: 2}, 60},
 	}
 	var out []*trace.Trace
-	for i := 0; i < 70; i++ {
-		cfg := shapes[i%len(shapes)]
+	for i := 0; i < 72; i++ {
+		sh := shapes[i%len(shapes)]
+		cfg := sh.cfg
 		cfg.Events = 320
+		if sh.sites > 3 {
+			cfg.Events = 900
+		}
 		cfg.Seed = int64(i)*104729 + 7
 		tr := gen.Random(cfg)
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		evs := slices.Clone(tr.Events)
 		for j := range evs {
 			if evs[j].Kind.IsAccess() {
-				name := fmt.Sprintf("site.x%d.%d", evs[j].Obj, rng.Intn(3))
+				name := fmt.Sprintf("site.x%d.%d", evs[j].Obj, rng.Intn(sh.sites))
 				evs[j].Loc = tr.Symbols.Location(name)
 			}
 		}
