@@ -438,9 +438,7 @@ func ReadBinary(r io.Reader) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// An event takes at least four bytes; the declared count alone does
-	// not size the allocation.
-	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, min(nev, br.inputBound()/4))}
+	tr := &trace.Trace{Symbols: syms, Events: make([]event.Event, 0, nev)}
 	for i := uint64(0); i < nev; i++ {
 		e, err := decodeEvent(br, counts, i)
 		if err != nil {
