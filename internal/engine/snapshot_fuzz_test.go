@@ -15,8 +15,10 @@ import (
 // contract under attack: RestoreSession either fails with a typed
 // *snap.DecodeError (or a plain read error such as io.EOF) or succeeds —
 // and on success the restored session's own snapshot must be byte-identical
-// to the input, so no hostile payload can smuggle in state that the encoder
-// would not itself produce. It must never panic.
+// to the frame it consumed, so no hostile payload can smuggle in state that
+// the encoder would not itself produce. It must never panic. RestoreSession
+// reads exactly one self-delimiting frame, so bytes after it are not part
+// of the snapshot and stay unread.
 //
 // The seed corpus is real snapshots from all four sessionable engines at a
 // few points in a fork/join-heavy trace, plus targeted mutations
@@ -57,7 +59,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte("rpsn"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _, err := RestoreSession(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		s, _, err := RestoreSession(r)
 		if err != nil {
 			var de *snap.DecodeError
 			if !errors.As(err, &de) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -69,9 +72,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := s.(SnapshotSession).Snapshot(&again); err != nil {
 			t.Fatalf("resnap of accepted payload failed: %v", err)
 		}
-		if !bytes.Equal(again.Bytes(), data) {
-			t.Fatalf("accepted non-canonical payload: resnap %d bytes, input %d bytes",
-				again.Len(), len(data))
+		if frame := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), frame) {
+			t.Fatalf("accepted non-canonical payload: resnap %d bytes, frame %d bytes",
+				again.Len(), len(frame))
 		}
 	})
 }

@@ -173,18 +173,26 @@ type Reader struct {
 	pos int
 }
 
-// byteGetter adapts an io.Reader for binary.ReadUvarint.
+// byteGetter adapts an io.Reader for binary.ReadUvarint, counting the bytes
+// it hands out (one keeps the last of them).
 type byteGetter struct {
 	r   io.Reader
 	one [1]byte
+	n   int
 }
 
 func (g *byteGetter) ReadByte() (byte, error) {
 	if _, err := io.ReadFull(g.r, g.one[:]); err != nil {
 		return 0, err
 	}
+	g.n++
 	return g.one[0], nil
 }
+
+// padded reports whether an n-byte varint ending in last is non-minimal: a
+// multi-byte encoding whose final group is zero. The encoder never writes
+// one, so accepting it would let two byte streams decode to one state.
+func padded(n int, last byte) bool { return n > 1 && last == 0 }
 
 // NewReader reads one complete frame from r and verifies its checksum.
 // Frames are self-delimiting, so consecutive snapshots can be concatenated
@@ -203,9 +211,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr[4] != Version {
 		return nil, errf("unsupported format version %d (want %d)", hdr[4], Version)
 	}
-	size, err := binary.ReadUvarint(&byteGetter{r: r})
+	g := &byteGetter{r: r}
+	size, err := binary.ReadUvarint(g)
 	if err != nil {
 		return nil, errf("truncated payload length: %v", err)
+	}
+	if padded(g.n, g.one[0]) {
+		return nil, errf("non-minimal payload length")
 	}
 	if size > maxPayload {
 		return nil, errf("payload length %d exceeds limit", size)
@@ -242,24 +254,36 @@ func readPayload(r io.Reader, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// Uvarint decodes an unsigned varint.
+// Uvarint decodes an unsigned varint, rejecting non-minimal encodings.
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, errf("truncated varint at offset %d", r.pos)
+	if err := r.varintLen(n); err != nil {
+		return 0, err
 	}
-	r.pos += n
 	return v, nil
 }
 
-// Varint decodes a zigzag-coded signed varint.
+// Varint decodes a zigzag-coded signed varint, rejecting non-minimal
+// encodings.
 func (r *Reader) Varint() (int64, error) {
 	v, n := binary.Varint(r.buf[r.pos:])
+	if err := r.varintLen(n); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// varintLen validates the n-byte varint at the read position (n as the
+// encoding/binary decoders return it) and consumes it.
+func (r *Reader) varintLen(n int) error {
 	if n <= 0 {
-		return 0, errf("truncated varint at offset %d", r.pos)
+		return errf("truncated varint at offset %d", r.pos)
+	}
+	if padded(n, r.buf[r.pos+n-1]) {
+		return errf("non-minimal varint at offset %d", r.pos)
 	}
 	r.pos += n
-	return v, nil
+	return nil
 }
 
 // Count decodes an unsigned varint and checks it against an upper bound,

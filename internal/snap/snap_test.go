@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"testing"
@@ -220,5 +221,54 @@ func TestShortStreamBoundedAllocation(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
 		t.Fatalf("decoding a 100-byte stream allocated %d bytes", got)
+	}
+}
+
+// handFrame frames payload with the given raw length-field bytes and a valid
+// CRC, bypassing Writer so tests can build encodings it never emits.
+func handFrame(lenField, payload []byte) []byte {
+	b := append(append([]byte{}, magic[:]...), Version)
+	b = append(b, lenField...)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
+// TestNonMinimalVarintRejected: a padded varint (a multi-byte encoding whose
+// last group is zero) decodes to the same value as its minimal form, so
+// accepting one would let a CRC-valid payload restore to state whose
+// re-encoding differs. Payload fields and the frame's length field must both
+// reject it with a DecodeError.
+func TestNonMinimalVarintRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		read    func(r *Reader) error
+	}{
+		{"uvarint", []byte{0x81, 0x00}, func(r *Reader) error { _, err := r.Uvarint(); return err }},
+		{"uvarint zero", []byte{0x80, 0x00}, func(r *Reader) error { _, err := r.Uvarint(); return err }},
+		{"varint", []byte{0x82, 0x80, 0x00}, func(r *Reader) error { _, err := r.Varint(); return err }},
+		{"count", []byte{0x83, 0x00}, func(r *Reader) error { _, err := r.Count(10); return err }},
+	} {
+		r, err := NewReader(bytes.NewReader(handFrame([]byte{byte(len(tc.payload))}, tc.payload)))
+		if err != nil {
+			t.Fatalf("%s: reader: %v", tc.name, err)
+		}
+		var de *DecodeError
+		if err := tc.read(r); !errors.As(err, &de) {
+			t.Errorf("%s: padded encoding % x accepted (err %v)", tc.name, tc.payload, err)
+		}
+	}
+	// The minimal multi-byte form still decodes.
+	r, err := NewReader(bytes.NewReader(handFrame([]byte{2}, []byte{0x80, 0x01})))
+	if err != nil {
+		t.Fatalf("reader: %v", err)
+	}
+	if v, err := r.Uvarint(); err != nil || v != 128 {
+		t.Fatalf("minimal uvarint: got %d, %v", v, err)
+	}
+	// A padded frame length (2 as 0x82 0x00) is rejected too.
+	var de *DecodeError
+	if _, err := NewReader(bytes.NewReader(handFrame([]byte{0x82, 0x00}, []byte{1, 2}))); !errors.As(err, &de) {
+		t.Errorf("padded payload length accepted (err %v)", err)
 	}
 }

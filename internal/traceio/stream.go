@@ -65,6 +65,7 @@ type Stream struct {
 	sc     *bufio.Scanner
 	lineNo int
 	tally  trace.Stats
+	hint   int // hintLimit of the source, capping header pre-sizing
 
 	closer io.Closer
 	err    error
@@ -74,6 +75,7 @@ type Stream struct {
 // stream beginning with the binary magic is decoded as binary, anything
 // else as the line-oriented text format.
 func OpenStream(r io.Reader) (*Stream, error) {
+	hint := hintLimit(r)
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
@@ -103,6 +105,7 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		syms: &event.Symbols{},
 		dims: Dims{Events: -1},
 		sc:   sc,
+		hint: hint,
 	}, nil
 }
 
@@ -251,7 +254,7 @@ func (s *Stream) scanTextEvent() (event.Event, bool) {
 					}
 				}
 				if c, ok := parseSymbolsHeader(line); ok {
-					s.syms.Preallocate(c[0], c[1], c[2], c[3])
+					preallocate(s.syms, c, s.hint)
 				}
 			}
 			continue

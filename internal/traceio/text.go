@@ -135,10 +135,34 @@ func parseSymbolsHeader(line string) (counts [4]int, ok bool) {
 	return counts, true
 }
 
+// maxHint caps a header-declared count that only pre-sizes an allocation,
+// when the source does not report its length; larger traces grow past it
+// as their lines arrive.
+const maxHint = 1 << 16
+
+// hintLimit bounds the pre-sizing a text header may ask for. Every event
+// and every symbol takes at least one input byte, so a source that reports
+// its length bounds them by it; a hostile "# events 1000000000" line then
+// cannot allocate more than its input could fill.
+func hintLimit(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return maxHint
+}
+
+// preallocate pre-sizes syms for a "# symbols" header's counts, each
+// capped at limit.
+func preallocate(syms *event.Symbols, c [4]int, limit int) {
+	syms.Preallocate(min(c[0], limit), min(c[1], limit), min(c[2], limit), min(c[3], limit))
+}
+
 // ReadText parses a whole text-format trace from r. A "# events N" header
 // comment, when present before the first event, pre-sizes the event slice;
-// a "# symbols T L V P" comment pre-sizes the intern tables.
+// a "# symbols T L V P" comment pre-sizes the intern tables. Both are
+// capped by hintLimit.
 func ReadText(r io.Reader) (*trace.Trace, error) {
+	limit := hintLimit(r)
 	syms := &event.Symbols{}
 	tr := &trace.Trace{Symbols: syms}
 	sc := bufio.NewScanner(r)
@@ -150,10 +174,10 @@ func ReadText(r io.Reader) (*trace.Trace, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			if tr.Events == nil {
 				if n, ok := parseEventsHeader(line); ok {
-					tr.Events = make([]event.Event, 0, n)
+					tr.Events = make([]event.Event, 0, min(n, limit))
 				}
 				if c, ok := parseSymbolsHeader(line); ok {
-					syms.Preallocate(c[0], c[1], c[2], c[3])
+					preallocate(syms, c, limit)
 				}
 			}
 			continue
