@@ -429,7 +429,9 @@ func (c *Coordinator) journalErr(what string, err error) {
 }
 
 // snapshotState captures current coordinator state in journal form, for
-// compaction (on the monitor tick and at takeover).
+// compaction (on the monitor tick and at takeover). It runs under the
+// journal lock and takes c.mu and c.finMu inside it; that order is safe
+// because every c.record call is made with both released.
 func (c *Coordinator) snapshotState() *journalState {
 	st := newJournalState()
 	st.epoch = c.epoch.Load()
@@ -458,7 +460,7 @@ func (c *Coordinator) maybeCompact() {
 		return
 	}
 	t0 := time.Now()
-	if err := c.journal.compact(c.snapshotState()); err != nil {
+	if err := c.journal.compact(c.snapshotState); err != nil {
 		c.journalErrors.Add(1)
 		c.cfg.Logger.Error("journal compaction failed", "err", err)
 		return

@@ -325,19 +325,23 @@ func (j *journal) appendsSinceCompact() int64 {
 	return j.appends
 }
 
-// compact rewrites the journal as the records of st, bumping the
-// generation so tailing standbys resync from the top. The new log replaces
-// the old one through durable.WriteFile: a crash at any point leaves
-// either the old log or the new one.
-func (j *journal) compact(st *journalState) error {
-	var buf bytes.Buffer
-	if err := st.writeRecords(&buf); err != nil {
-		return err
-	}
+// compact rewrites the journal as the records of the state capture
+// returns, bumping the generation so tailing standbys resync from the top.
+// capture runs under the journal lock, so no append can land between the
+// capture and the rename: an append that precedes the compaction follows
+// its mutation, which the capture therefore sees, and every later append
+// goes to the new log. The new log replaces the old one through
+// durable.WriteFile: a crash at any point leaves either the old log or the
+// new one.
+func (j *journal) compact(capture func() *journalState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errors.New("journal closed")
+	}
+	var buf bytes.Buffer
+	if err := capture().writeRecords(&buf); err != nil {
+		return err
 	}
 	path := filepath.Join(j.dir, journalFileName)
 	if err := durable.WriteFile(path, durable.Bytes(buf.Bytes())); err != nil {

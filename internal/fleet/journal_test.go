@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -117,7 +118,7 @@ func TestJournalCompaction(t *testing.T) {
 	st.workers["w1"] = "http://127.0.0.1:1"
 	st.placements["aa11"] = &journalPlacement{worker: "w1", header: []byte("hdr")}
 	genBefore := j.gen
-	if err := j.compact(st); err != nil {
+	if err := j.compact(func() *journalState { return st }); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if j.gen != genBefore+1 {
@@ -280,7 +281,7 @@ func TestJournalReadFromTail(t *testing.T) {
 		t.Fatalf("caught-up readFrom: data=%d gen=%d next=%d err=%v", len(data2), gen2, next2, err)
 	}
 	// Compaction bumps gen; a reader at the old gen gets a full resend.
-	if err := j.compact(st); err != nil {
+	if err := j.compact(func() *journalState { return st }); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	data3, gen3, _, err := j.readFrom(gen, next)
@@ -320,7 +321,7 @@ func TestJournalReadFromDuringCompaction(t *testing.T) {
 					return
 				}
 			}
-			if err := j.compact(st); err != nil {
+			if err := j.compact(func() *journalState { return st }); err != nil {
 				writerErr <- err
 				return
 			}
@@ -344,7 +345,7 @@ func TestJournalReadFromDuringCompaction(t *testing.T) {
 					readerErr <- fmt.Errorf("readFrom(%d, %d): %w", gen, off, err)
 					return
 				}
-				if err := decodeAll(data); err != nil {
+				if _, err := decodeAll(data); err != nil {
 					readerErr <- fmt.Errorf("payload of %d bytes (gen %d, from %d): %w", len(data), curGen, off, err)
 					return
 				}
@@ -366,20 +367,21 @@ func TestJournalReadFromDuringCompaction(t *testing.T) {
 	}
 }
 
-// decodeAll applies every frame in data to a scratch state, failing on
+// decodeAll applies every frame in data to a fresh state, failing on
 // anything but a clean end after the last whole frame.
-func decodeAll(data []byte) error {
+func decodeAll(data []byte) (*journalState, error) {
+	st := newJournalState()
 	rd := bytes.NewReader(data)
 	for {
 		r, err := snap.NewReader(rd)
 		if err == io.EOF {
-			return nil
+			return st, nil
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := newJournalState().applyRecord(r); err != nil {
-			return err
+		if err := st.applyRecord(r); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -447,4 +449,86 @@ func TestJournalRetiredSnapshotFrame(t *testing.T) {
 	if _, _, ok, err := replayJournal(dir); ok || err == nil {
 		t.Fatalf("type-8 frame replayed: ok=%v err=%v", ok, err)
 	}
+}
+
+// TestCompactionKeepsConcurrentAppends races session placements and drops
+// against repeated journal compactions. Each mutation is made under c.mu
+// and journaled after c.mu is released, as the session handlers do. After
+// every compaction the test replays the journal and checks it against the
+// records already acknowledged: a compaction that captured the state before
+// taking the journal lock would replace a log holding an append whose
+// mutation the capture missed, so the replay would lack an acknowledged
+// placement or still hold an acknowledged drop (until a later compaction
+// happened to capture it again).
+func TestCompactionKeepsConcurrentAppends(t *testing.T) {
+	cfg := CoordinatorConfig{JournalDir: t.TempDir(), PullEvery: -1,
+		HeartbeatTimeout: time.Minute, CompactEvery: 1 << 30}
+	c := NewCoordinator(cfg)
+	defer c.Close(context.Background())
+	const placers, perPlacer = 4, 150
+	var ackMu sync.Mutex
+	acked := map[string]bool{} // id -> its drop was acknowledged
+	var wg sync.WaitGroup
+	defer wg.Wait() // before the Close: a failed check leaves placers running
+	for p := 0; p < placers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perPlacer; i++ {
+				id := fmt.Sprintf("s%d-%03d", p, i)
+				c.mu.Lock()
+				c.placements[id] = &placement{id: id, worker: "w1"}
+				c.mu.Unlock()
+				c.record("place", placeRec(id, "w1", nil))
+				ackMu.Lock()
+				acked[id] = false
+				ackMu.Unlock()
+				if i%2 == 1 {
+					c.dropPlacement(id)
+					ackMu.Lock()
+					acked[id] = true
+					ackMu.Unlock()
+				}
+			}
+		}()
+	}
+	placed := make(chan struct{})
+	go func() { wg.Wait(); close(placed) }()
+	compactions := 0
+	for finished := false; !finished; compactions++ {
+		select {
+		case <-placed:
+			finished = true
+		default:
+		}
+		if err := c.journal.compact(c.snapshotState); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		ackMu.Lock()
+		snapshot := maps.Clone(acked)
+		ackMu.Unlock()
+		data, _, _, err := c.journal.readFrom(0, 0)
+		if err != nil {
+			t.Fatalf("readFrom: %v", err)
+		}
+		st, err := decodeAll(data)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		for id, dropped := range snapshot {
+			_, present := st.placements[id]
+			// Odd ids may be dropped after the snapshot; only an
+			// acknowledged drop pins their absence.
+			if dropped && present {
+				t.Fatalf("after compaction %d the journal resurrects dropped placement %s", compactions, id)
+			}
+			if !present && id[len(id)-1]%2 == 0 {
+				t.Fatalf("after compaction %d the journal lacks acknowledged placement %s", compactions, id)
+			}
+		}
+	}
+	if n := c.journalErrors.Value(); n != 0 {
+		t.Fatalf("%d journal errors", n)
+	}
+	t.Logf("%d compactions", compactions)
 }

@@ -205,7 +205,7 @@ func (c *Coordinator) takeover() {
 	c.standbyMode.Store(false)
 	c.record("epoch", epochRec(epoch))
 	if c.journal != nil {
-		if err := c.journal.compact(c.snapshotState()); err != nil {
+		if err := c.journal.compact(c.snapshotState); err != nil {
 			c.journalErr("takeover snapshot", err)
 		}
 	}
