@@ -138,6 +138,7 @@ func BenchmarkFigure7(b *testing.B) {
 
 // BenchmarkScalingWCP demonstrates Theorem 3: WCP analysis time is linear
 // in the number of events (events/s should be roughly flat across sizes).
+// core.Options{} is the pair-tracking mode the served wcp engine runs.
 func BenchmarkScalingWCP(b *testing.B) {
 	for _, scale := range []float64{0.25, 0.5, 1.0, 2.0} {
 		tr := benchTrace(b, "montecarlo", scale)
@@ -267,8 +268,8 @@ func BenchmarkAblationWindowedWCP(b *testing.B) {
 }
 
 // BenchmarkAblationEpochHB compares the epoch-optimized HB detector with
-// the full-vector-clock one (the §6 future-work optimization, applied to
-// the baseline).
+// the full-vector-clock one, which also names race pairs (the §6
+// future-work optimization, applied to the baseline).
 func BenchmarkAblationEpochHB(b *testing.B) {
 	tr := benchTrace(b, "lusearch", table1Scale)
 	b.Run("vector", func(b *testing.B) {
@@ -286,8 +287,8 @@ func BenchmarkAblationEpochHB(b *testing.B) {
 }
 
 // BenchmarkAblationEpochWCP compares the epoch-optimized WCP race check
-// (§6 future work) with the vector-clock one on the same clock machinery;
-// -benchmem shows the per-variable memory reduction.
+// (§6 future work) with the pair-tracking vector-clock one on the same
+// clock machinery; -benchmem shows the per-variable memory reduction.
 func BenchmarkAblationEpochWCP(b *testing.B) {
 	tr := benchTrace(b, "lusearch", table1Scale)
 	b.Run("vector", func(b *testing.B) {

@@ -25,7 +25,8 @@
 //
 // The benchmarks mirror BenchmarkScalingWCP, BenchmarkScalingHB,
 // BenchmarkThreadScaling* and BenchmarkBatchAnalysis in bench_test.go: WCP
-// and HB whole-trace analysis over the montecarlo workload at several sizes
+// and HB whole-trace analysis in the pair-tracking modes the served wcp and
+// hb engines run, over the montecarlo workload at several sizes
 // (Theorem 3's linearity check), the thread-scaling matrix (T swept at a
 // fixed event count, windowed clocks vs the forced-dense baseline, on the
 // disjoint-pool shape), and the serial-vs-parallel corpus runner

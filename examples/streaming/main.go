@@ -56,7 +56,7 @@ func main() {
 
 	// Decode block by block straight into the detector, reusing one buffer.
 	det := repro.NewWCPDetector(dims.Threads, dims.Locks, dims.Vars,
-		repro.WCPOptions{TrackPairs: true})
+		repro.WCPOptions{})
 	buf := make([]repro.TraceEvent, repro.DefaultStreamBlockSize)
 	processed := 0
 	for {

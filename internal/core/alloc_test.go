@@ -33,7 +33,7 @@ func TestWCPSteadyStateAllocs(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"vector", core.Options{}},
+		{"vector", core.Options{}}, // the served pair-tracking mode
 		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,7 +62,7 @@ func TestWCPSteadyStateAllocsHighThreads(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"vector", core.Options{}},
+		{"vector", core.Options{}}, // the served pair-tracking mode
 		{"epoch", core.Options{EpochCheck: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -128,10 +128,7 @@ func (d *Detector) Compact() {
 		if !d.varDominated(vs, f.eff) {
 			continue
 		}
-		if vs.readAll.Ready() || vs.writeAll.Ready() || vs.wLast != vc.NoEpoch ||
-			vs.rLast != vc.NoEpoch || vs.reads.Len() > 0 || vs.writes.Len() > 0 ||
-			vs.wEpoch != vc.NoEpoch || vs.rEpoch != vc.NoEpoch || vs.rShared != nil ||
-			vs.wOrdered || vs.rOrdered {
+		if !varFresh(vs) {
 			*vs = varState{}
 		}
 	}
@@ -150,9 +147,6 @@ func (d *Detector) Compact() {
 // effective-time floor, so no future access can be unordered against it.
 func (d *Detector) varDominated(vs *varState, floor vc.VC) bool {
 	if !wcDominated(&vs.readAll, floor) || !wcDominated(&vs.writeAll, floor) {
-		return false
-	}
-	if !vs.wLast.LeqVC(floor) || !vs.rLast.LeqVC(floor) {
 		return false
 	}
 	// Epoch-mode state: the same domination argument on the FastTrack

@@ -43,20 +43,19 @@
 //   - the rule-(a) Lr/Lw state collapses to the two latest contributions
 //     by distinct threads — releases on one lock are H-monotone, so they
 //     dominate all earlier ones (see relTimes);
-//   - the default race check never materializes the effective time
-//     (Pt ⊔ Ot)[t := Nt]: it compares componentwise, drops the ⊔ Ot leg
-//     once Pt dominates the static ancestry clock, and collapses to one
-//     epoch compare while a variable's accesses stay totally ordered
-//     (Lemma C.8); the cached per-thread materialization remains for
-//     timestamp collection, for naming partner locations once the
-//     pair-tracking check has failed, and for cell records made while
-//     fork/join ancestry is active;
+//   - the race check gates on the aggregate Rx/Wx clocks without
+//     materializing the effective time (Pt ⊔ Ot)[t := Nt]: it compares
+//     componentwise and drops the ⊔ Ot leg once Pt dominates the static
+//     ancestry clock; the cached per-thread materialization remains for
+//     timestamp collection, for naming partner locations once the gate has
+//     failed, and for cell records made while fork/join ancestry is
+//     active;
 //   - every clock is windowed (vc.WC): joins, comparisons, copies and
 //     queue records touch only each clock's dirty window, so per-event
 //     clock work scales with how many threads actually communicated, not
-//     with the thread count T, and generation-based join caches collapse
-//     repeated joins of unchanged lock and rule-(a) clocks to one compare
-//     (see vc/window.go and DESIGN.md §5).
+//     with the thread count T (see vc/window.go and DESIGN.md §5); join
+//     caches keyed on per-lock and per-record release counters collapse
+//     repeated joins of unchanged lock and rule-(a) clocks to one compare.
 //
 // Reentrant (same-lock nested) acquisitions are accepted and treated as
 // no-ops for synchronization, matching JVM lock semantics; the paper's trace
@@ -71,23 +70,24 @@ import (
 )
 
 // Options configures the WCP detector.
+//
+// The default vector-clock mode reports distinct race pairs exactly per
+// program-location pair (Result.Report); EpochCheck trades the pairs for the
+// epoch state machine's racy-event counts.
 type Options struct {
-	// TrackPairs enables exact distinct race-pair reporting per
-	// program-location pair.
-	TrackPairs bool
 	// CollectTimestamps stores the WCP time Ce and HB time He of every
 	// event in the Result, enabling the Theorem 2 cross-check against the
 	// closure-based reference. Memory is O(N·T); only for small traces.
 	CollectTimestamps bool
 	// EpochCheck replaces the vector-clock race check with the
-	// FastTrack-style epoch state machine (§6 future work; see epoch.go).
-	// Incompatible with TrackPairs.
+	// FastTrack-style epoch state machine (§6 future work; see epoch.go),
+	// which reports no pairs.
 	EpochCheck bool
 }
 
 // Result is the outcome of a WCP analysis.
 type Result struct {
-	// Report holds the distinct race pairs (nil unless Options.TrackPairs).
+	// Report holds the distinct race pairs (nil with Options.EpochCheck).
 	Report *race.Report
 	// RacyEvents counts events flagged as WCP-racing with an earlier
 	// conflicting access.
@@ -313,9 +313,8 @@ func (rt *relTimes) add(t int, h *vc.WC, width int) {
 	}
 	// The newer H dominates: overwrite (windowed — only the dirty spans of
 	// the two clocks are touched). Width-3 clocks are dense with a static
-	// window and their WC generation is never consumed (rt.gen is the join
-	// caches' key), so the raw overwrite is safe and keeps the tiny-T
-	// unroll inline.
+	// window, so the raw overwrite is safe and keeps the tiny-T unroll
+	// inline.
 	if a, hv := rt.ha.VC(), h.VC(); len(a) == 3 && len(hv) == 3 {
 		a[0], a[1], a[2] = hv[0], hv[1], hv[2]
 	} else {
@@ -325,9 +324,8 @@ func (rt *relTimes) add(t int, h *vc.WC, width int) {
 
 // joinInto joins every thread's contribution except reader's into dst,
 // reporting whether dst changed. The join merges only the source clock's
-// dirty window. dst is always a thread's Pt, whose WC generation is never
-// consumed in this package, so the dense width-3 unroll writes the storage
-// raw (static window) and skips the generation bump.
+// dirty window. The dense width-3 unroll writes dst's storage raw (its
+// window is static).
 func (rt *relTimes) joinInto(dst *vc.WC, reader int) bool {
 	if rt == nil || !rt.ha.Ready() {
 		return false
@@ -464,36 +462,15 @@ type lockState struct {
 }
 
 // varState is the per-variable race-checking state. Vector-clock mode uses
-// the first four fields; epoch mode (Options.EpochCheck) uses the last
-// three.
-//
-// wLast/rLast and the ordered flags power the exact O(1) fast path of the
-// default vector-mode check: while the accesses of one kind are totally
-// ordered in the effective order, the aggregate Rx/Wx clock is dominated by
-// the latest access, and by the paper's single-component characterization
-// (Lemma C.8: for cross-thread a <tr b, a ≤WCP b iff N(a) ≤ Cb(t(a))) the
-// whole vector comparison collapses to one clock compare. The collapse is
-// only valid when the recorded access's effective time was a pure clock
-// time — its thread's ancestry clock Ot added nothing beyond Pt (oZero),
-// so every component the aggregate absorbed is clock-propagated and the
-// single-component compare characterizes it; wPure/rPure record that. The
-// aggregate clocks are still maintained; an unordered or o-contaminated
-// access falls back to the vector compare, so the flagged events are
-// exactly those of the pure vector implementation (pinned by
-// TestWCPDefaultModeMatchesVectorCheck).
+// the aggregate clocks Rx/Wx (readAll/writeAll), which gate the race check,
+// and the pair-tracking cell tables, which name the partner locations once
+// the gate fails; epoch mode (Options.EpochCheck) uses the last three
+// fields.
 type varState struct {
 	readAll  vc.WC
 	writeAll vc.WC
-	wLast    vc.Epoch
-	rLast    vc.Epoch
-	wOrdered bool
-	rOrdered bool
-	wPure    bool
-	rPure    bool
-
-	// reads/writes are the pair-tracking cell tables (Options.TrackPairs).
-	reads  race.Cells
-	writes race.Cells
+	reads    race.Cells
+	writes   race.Cells
 
 	wEpoch  vc.Epoch
 	rEpoch  vc.Epoch
@@ -555,7 +532,7 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 	}
 	d.accCache = threads > 8
 	d.denseQ = d.scratch.Dense()
-	if opts.TrackPairs {
+	if !opts.EpochCheck {
 		d.res.Report = race.NewReport()
 	}
 	ps := vc.NewWCMatrix(threads, threads)
@@ -856,8 +833,7 @@ func (d *Detector) acquire(t int, l event.LID) {
 			top.ctAcq.Init(width)
 		}
 		if ca, pv := top.ctAcq.VC(), ts.p.VC(); len(ca) == 3 && len(pv) == 3 {
-			// Dense raw write: the window is static and ctAcq's WC
-			// generation is never consumed.
+			// Dense raw write: the window is static.
 			ca[0], ca[1], ca[2] = pv[0], pv[1], pv[2]
 			ca[t] = ts.n
 		} else {
@@ -1073,8 +1049,7 @@ func (d *Detector) release(t int, l event.LID) {
 		ls.pl.Init(width)
 	}
 	if hl, hv := ls.hl.VC(), ts.h.VC(); len(hl) == 3 && len(hv) == 3 {
-		// Dense raw write: static windows, and the lock's join cache keys
-		// on ls.gen, not the WC generations.
+		// Dense raw write: static windows.
 		pl, pv := ls.pl.VC(), ts.p.VC()
 		hl[0], hl[1], hl[2] = hv[0], hv[1], hv[2]
 		pl[0], pl[1], pl[2] = pv[0], pv[1], pv[2]
@@ -1280,91 +1255,12 @@ func leqEffSpan(vv, pv, ov vc.VC, lo, hi, t int, n vc.Clock, oZero bool) bool {
 	return true
 }
 
-// effComp returns component i of (p ⊔ o)[t := n] without materializing it.
-func effComp(p, o *vc.WC, t int, n vc.Clock, oZero bool, i int) vc.Clock {
-	if i == t {
-		return n
-	}
-	c := p.VC()[i]
-	if !oZero {
-		if oc := o.VC()[i]; oc > c {
-			c = oc
-		}
-	}
-	return c
-}
-
 // check performs the race check of §3.2: for a read, Wx ⊑ Ce must hold; for
-// a write, Rx ⊔ Wx ⊑ Ce must hold. With pair tracking, the per-location
-// cells identify the partner location(s) exactly.
+// a write, Rx ⊔ Wx ⊑ Ce must hold. The aggregate compare is the full vector
+// check, and only a failing one walks the per-location cells to name the
+// partner locations exactly.
 func (d *Detector) check(i, t int, x event.VID, loc event.Loc, isWrite bool) {
 	vs := &d.vars[x]
-	if d.res.Report == nil {
-		// Fused fast path: compare and record against (Pt ⊔ Ot)[t := Nt]
-		// componentwise, never materializing the effective time, and
-		// collapse the comparison to one clock compare while the accesses
-		// stay totally ordered (see varState).
-		ts := &d.threads[t]
-		p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
-		racyW := false
-		if vs.writeAll.Ready() {
-			if vs.wOrdered && vs.wPure {
-				racyW = vs.wLast.Clock() > effComp(p, o, t, n, oZero, int(vs.wLast.TID()))
-			} else {
-				racyW = !leqEff(&vs.writeAll, p, o, t, n, oZero)
-			}
-		}
-		racy := racyW
-		if isWrite && vs.readAll.Ready() {
-			if vs.rOrdered && vs.rPure {
-				racy = racy || vs.rLast.Clock() > effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-			} else {
-				racy = racy || !leqEff(&vs.readAll, p, o, t, n, oZero)
-			}
-		}
-		if racy {
-			d.res.RacyEvents++
-			if d.res.FirstRace < 0 {
-				d.res.FirstRace = i
-			}
-		}
-		if isWrite {
-			if !vs.writeAll.Ready() {
-				vs.writeAll.Init(len(d.threads))
-				vs.wOrdered = true
-			} else if racyW {
-				// This write is unordered with an earlier one: the latest
-				// write no longer dominates Wx.
-				vs.wOrdered = false
-			}
-			vs.wLast = vc.MakeEpoch(t, n)
-			vs.wPure = oZero
-			vs.writeAll.JoinEff(p, o, t, n, oZero)
-		} else {
-			if !vs.readAll.Ready() {
-				vs.readAll.Init(len(d.threads))
-				vs.rOrdered = true
-			} else if vs.rOrdered {
-				// rOrdered may only survive if Rx stays dominated by this
-				// read: decided by the epoch compare when the latest read
-				// was pure, by the exact vector compare otherwise.
-				// (Read-read is no race; this only maintains the flag.)
-				ordered := vs.rPure &&
-					vs.rLast.Clock() <= effComp(p, o, t, n, oZero, int(vs.rLast.TID()))
-				if !ordered {
-					ordered = leqEff(&vs.readAll, p, o, t, n, oZero)
-				}
-				vs.rOrdered = ordered
-			}
-			vs.rLast = vc.MakeEpoch(t, n)
-			vs.rPure = oZero
-			vs.readAll.JoinEff(p, o, t, n, oZero)
-		}
-		return
-	}
-	// Pair-tracking path: the aggregate compare is the full vector check,
-	// with no epoch gate, and only a failing one walks the cells to name
-	// the partner locations.
 	ts := &d.threads[t]
 	p, o, n, oZero := &ts.p, &ts.o, ts.n, ts.oZero
 	racyW := vs.writeAll.Ready() && !leqEff(&vs.writeAll, p, o, t, n, oZero)
@@ -1418,9 +1314,10 @@ func (d *Detector) raceCtx(t int, x event.VID) race.Ctx {
 // value shares state with the detector; read it after the last Process.
 func (d *Detector) Result() *Result { return &d.res }
 
-// Detect runs the WCP detector over a whole trace with pair tracking.
+// Detect runs the WCP detector over a whole trace in the default
+// pair-tracking vector-clock mode.
 func Detect(tr *trace.Trace) *Result {
-	return DetectOpts(tr, Options{TrackPairs: true})
+	return DetectOpts(tr, Options{})
 }
 
 // DetectOpts runs the WCP detector over a whole trace, walking its

@@ -179,24 +179,6 @@ func TestDistinctPairsAcrossLocations(t *testing.T) {
 	}
 }
 
-// TestNoPairsMode checks the cheap mode agrees with the full mode on
-// existence and first race.
-func TestNoPairsMode(t *testing.T) {
-	for _, name := range []string{"account", "moldyn", "raytracer"} {
-		bench, _ := gen.ByName(name)
-		tr := bench.Generate(1.0)
-		full := core.Detect(tr)
-		cheap := core.DetectOpts(tr, core.Options{})
-		if cheap.Report != nil {
-			t.Error("cheap mode allocated a report")
-		}
-		if (full.RacyEvents > 0) != (cheap.RacyEvents > 0) || full.FirstRace != cheap.FirstRace {
-			t.Errorf("%s: full(%d,%d) vs cheap(%d,%d)", name,
-				full.RacyEvents, full.FirstRace, cheap.RacyEvents, cheap.FirstRace)
-		}
-	}
-}
-
 // TestForkJoinOrdering: fork and join edges are WCP (HB-composed)
 // orderings.
 func TestForkJoinOrdering(t *testing.T) {

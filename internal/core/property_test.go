@@ -219,35 +219,3 @@ func TestFigure5DeadlockWitness(t *testing.T) {
 		t.Errorf("deadlock involves %d threads, want 3 (threads %v)", len(d), d)
 	}
 }
-
-// TestWCPDefaultModeMatchesVectorCheck is the differential pin for the
-// epoch-gated fast path of the default (no-pairs) race check: over random
-// traces with and without fork/join ancestry, Options{} must flag exactly
-// the events that the pair-tracking configuration — which always runs the
-// full vector comparison — flags. The fork/join shapes are the regression
-// case: ancestry (Ot) components folded into the aggregate clocks are not
-// characterized by the Lemma C.8 single-component compare, so the gate must
-// fall back to the vector compare for accesses recorded with ancestry
-// active.
-func TestWCPDefaultModeMatchesVectorCheck(t *testing.T) {
-	shapes := []gen.RandomConfig{
-		{Threads: 3, Locks: 2, Vars: 3, ForkJoin: true},
-		{Threads: 3, Locks: 1, Vars: 2, ForkJoin: true},
-		{Threads: 4, Locks: 3, Vars: 4, ForkJoin: true},
-		{Threads: 5, Locks: 2, Vars: 3, ForkJoin: true},
-		{Threads: 3, Locks: 2, Vars: 3},
-		{Threads: 6, Locks: 4, Vars: 5, ForkJoin: true},
-	}
-	for i := 0; i < 300; i++ {
-		cfg := shapes[i%len(shapes)]
-		cfg.Events = 200
-		cfg.Seed = int64(i)
-		tr := gen.Random(cfg)
-		fast := core.DetectOpts(tr, core.Options{})
-		full := core.DetectOpts(tr, core.Options{TrackPairs: true})
-		if fast.RacyEvents != full.RacyEvents || fast.FirstRace != full.FirstRace {
-			t.Fatalf("seed %d (%+v): default mode flags %d racy events (first %d), vector pair mode flags %d (first %d)",
-				i, cfg, fast.RacyEvents, fast.FirstRace, full.RacyEvents, full.FirstRace)
-		}
-	}
-}

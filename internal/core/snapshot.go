@@ -37,12 +37,11 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 	if d.opts.CollectTimestamps {
 		return errTimestamps
 	}
-	var ob byte
-	if d.opts.TrackPairs {
-		ob |= 1
-	}
+	// Option byte: 1 is the pair-tracking vector mode, 2 the epoch mode.
+	// 0, the retired count-only vector mode, is rejected on decode.
+	ob := byte(1)
 	if d.opts.EpochCheck {
-		ob |= 2
+		ob = 2
 	}
 	w.Byte(ob)
 	w.Uvarint(uint64(len(d.threads)))
@@ -125,8 +124,6 @@ func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
 
 func varFresh(vs *varState) bool {
 	return !vs.readAll.Ready() && !vs.writeAll.Ready() &&
-		vs.wLast == vc.NoEpoch && vs.rLast == vc.NoEpoch &&
-		!vs.wOrdered && !vs.rOrdered && !vs.wPure && !vs.rPure &&
 		vs.reads.Len() == 0 && vs.writes.Len() == 0 &&
 		vs.wEpoch == vc.NoEpoch && vs.rEpoch == vc.NoEpoch && vs.rShared == nil
 }
@@ -373,28 +370,22 @@ func (d *Detector) decodeLock(rd *snap.Reader, ls *lockState, tmp vc.VC) error {
 	return nil
 }
 
+// Variable flag bits 1–8 and the two epochs after the aggregate clocks are
+// reserved: they held the state of a removed count-only check and are
+// written empty (and rejected when set) so the format stays byte-compatible
+// with earlier snapshots.
+const varReservedFlags = 1 | 2 | 4 | 8
+
 func encodeVar(w *snap.Writer, vs *varState, tmp vc.VC) {
 	var fb byte
-	if vs.wOrdered {
-		fb |= 1
-	}
-	if vs.rOrdered {
-		fb |= 2
-	}
-	if vs.wPure {
-		fb |= 4
-	}
-	if vs.rPure {
-		fb |= 8
-	}
 	if vs.rShared != nil {
 		fb |= 16
 	}
 	w.Byte(fb)
 	w.Clock(&vs.readAll)
 	w.Clock(&vs.writeAll)
-	w.Uvarint(uint64(vs.wLast))
-	w.Uvarint(uint64(vs.rLast))
+	w.Uvarint(0) // reserved
+	w.Uvarint(0) // reserved
 	w.Uvarint(uint64(vs.wEpoch))
 	w.Uvarint(uint64(vs.rEpoch))
 	if vs.rShared != nil {
@@ -410,13 +401,9 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 	if err != nil {
 		return err
 	}
-	if fb >= 32 {
+	if fb >= 32 || fb&varReservedFlags != 0 {
 		return &snap.DecodeError{Reason: "bad variable flags"}
 	}
-	vs.wOrdered = fb&1 != 0
-	vs.rOrdered = fb&2 != 0
-	vs.wPure = fb&4 != 0
-	vs.rPure = fb&8 != 0
 	if err := rd.Clock(&vs.readAll, tmp); err != nil {
 		return err
 	}
@@ -424,14 +411,14 @@ func (d *Detector) decodeVar(rd *snap.Reader, vs *varState, tmp vc.VC) error {
 		return err
 	}
 	var e uint64
-	if e, err = rd.Uvarint(); err != nil {
-		return err
+	for range 2 {
+		if e, err = rd.Uvarint(); err != nil {
+			return err
+		}
+		if e != 0 {
+			return &snap.DecodeError{Reason: "reserved variable field set"}
+		}
 	}
-	vs.wLast = vc.Epoch(e)
-	if e, err = rd.Uvarint(); err != nil {
-		return err
-	}
-	vs.rLast = vc.Epoch(e)
 	if e, err = rd.Uvarint(); err != nil {
 		return err
 	}
@@ -467,10 +454,10 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ob >= 4 {
+	if ob != 1 && ob != 2 {
 		return nil, &snap.DecodeError{Reason: "bad detector options"}
 	}
-	opts := Options{TrackPairs: ob&1 != 0, EpochCheck: ob&2 != 0}
+	opts := Options{EpochCheck: ob == 2}
 	threads, err := rd.Count(maxSnapThreads)
 	if err != nil {
 		return nil, err
@@ -508,7 +495,7 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasReport != opts.TrackPairs {
+	if hasReport == opts.EpochCheck {
 		return nil, &snap.DecodeError{Reason: "report presence inconsistent with options"}
 	}
 	if hasReport {

@@ -23,7 +23,7 @@ func TestStateBytesTracksHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{TrackPairs: true})
+	d := NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), Options{})
 	d.ProcessBlock(soa)
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -103,7 +103,6 @@ func TestWCPDetectorWindowedMatchesDense(t *testing.T) {
 		collect := tr.NumThreads() <= 64 // O(N·T) memory; skip the giants
 		opts := []core.Options{
 			{},
-			{TrackPairs: true},
 			{EpochCheck: true},
 		}
 		if collect {
@@ -137,11 +136,10 @@ func TestWCPDetectorWindowedMatchesDense(t *testing.T) {
 }
 
 // TestHBDetectorWindowedMatchesDense pins the HB detector option
-// combinations, exercising both the per-variable access caches (vector
-// mode, no pairs) and the pair-tracking path that bypasses them.
+// combinations: the pair-tracking vector mode and the epoch mode.
 func TestHBDetectorWindowedMatchesDense(t *testing.T) {
 	for name, tr := range clockModeTraces(t) {
-		for _, o := range []hb.Options{{}, {TrackPairs: true}, {Epoch: true}} {
+		for _, o := range []hb.Options{{}, {Epoch: true}} {
 			windowed := hb.DetectOpts(tr, o)
 			var dense *hb.Result
 			withDense(func() { dense = hb.DetectOpts(tr, o) })

@@ -223,7 +223,7 @@ func (e wcpEngine) Name() string {
 }
 
 func (e wcpEngine) options() core.Options {
-	return core.Options{TrackPairs: !e.epoch, EpochCheck: e.epoch}
+	return core.Options{EpochCheck: e.epoch}
 }
 
 func (e wcpEngine) Analyze(tr *trace.Trace) *Result {
@@ -280,7 +280,7 @@ func (e hbEngine) Name() string {
 }
 
 func (e hbEngine) options() hb.Options {
-	return hb.Options{TrackPairs: !e.epoch, Epoch: e.epoch}
+	return hb.Options{Epoch: e.epoch}
 }
 
 func (e hbEngine) Analyze(tr *trace.Trace) *Result {

@@ -109,7 +109,7 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 	engines := All(Config{Window: 120, Budget: 3000})
 	for ti, tr := range soaShapes(t) {
 		// Detector-level equivalence: Process-per-event vs ProcessBlock.
-		for _, opts := range []core.Options{{TrackPairs: true}, {EpochCheck: true}} {
+		for _, opts := range []core.Options{{}, {EpochCheck: true}} {
 			legacy := core.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			for _, e := range tr.Events {
 				legacy.Process(e)
@@ -124,7 +124,7 @@ func TestSoAEnginesMatchLegacyEventPath(t *testing.T) {
 					lr.QueueMaxTotal, sr.QueueMaxTotal)
 			}
 		}
-		for _, opts := range []hb.Options{{TrackPairs: true}, {Epoch: true}} {
+		for _, opts := range []hb.Options{{}, {Epoch: true}} {
 			legacy := hb.NewDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), opts)
 			for _, e := range tr.Events {
 				legacy.Process(e)

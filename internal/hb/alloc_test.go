@@ -10,9 +10,8 @@ import (
 
 // TestHBSteadyStateAllocsHighThreads extends the steady-state pin of
 // TestHBSteadyStateAllocs to a T=256 thread-pool workload: windowed
-// clocks, the per-lock join caches and the per-variable access caches
-// must keep the streaming step loop allocation-free at high thread
-// counts.
+// clocks, the per-lock join caches and the pair-tracking cells must keep
+// the streaming step loop allocation-free at high thread counts.
 func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 	tr := gen.ThreadScaling(gen.ThreadScalingConfig{Threads: 256, Events: 60_000, Shape: "pools", Races: 4})
 	const limit = 0.005
@@ -20,7 +19,7 @@ func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 		name string
 		opts hb.Options
 	}{
-		{"vector", hb.Options{}},
+		{"vector", hb.Options{}}, // the served pair-tracking mode
 		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,7 +36,7 @@ func TestHBSteadyStateAllocsHighThreads(t *testing.T) {
 }
 
 // TestHBSteadyStateAllocs pins the allocation discipline shared with the
-// WCP detector: after warm-up, the HB step loop (vector and epoch modes)
+// WCP detector: after warm-up, the HB step loop (pair and epoch modes)
 // performs essentially zero heap allocations per event.
 func TestHBSteadyStateAllocs(t *testing.T) {
 	bench, ok := gen.ByName("montecarlo")
@@ -50,7 +49,7 @@ func TestHBSteadyStateAllocs(t *testing.T) {
 		name string
 		opts hb.Options
 	}{
-		{"vector", hb.Options{}},
+		{"vector", hb.Options{}}, // the served pair-tracking mode
 		{"epoch", hb.Options{Epoch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

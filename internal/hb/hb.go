@@ -20,17 +20,13 @@
 // thread, lock and per-variable clocks carry dirty windows, so joins and
 // race-check comparisons touch only the components that can differ from
 // zero — work proportional to how many threads actually communicated, not
-// to the thread count. Two generation-based caches sit on top:
+// to the thread count. A per-lock join cache (release generation +
+// per-thread last-joined generation) sits on top and skips the acquire-side
+// join when the thread has already absorbed the lock clock's current value.
 //
-//   - a per-lock join cache (release generation + per-thread last-joined
-//     generation) skips the acquire-side join when the thread has already
-//     absorbed the lock clock's current value;
-//   - a per-variable access cache keyed by (thread, thread-clock
-//     generation, peer-state stamps) replays the outcome of the previous
-//     identical race check in O(1) — the overwhelmingly common case of a
-//     thread accessing the same variable repeatedly between
-//     synchronization events (vector mode without pair tracking; pair
-//     tracking needs the per-location cells and bypasses it).
+// The vector-clock mode reports distinct race pairs per program-location
+// pair (the Table 1 metric) through per-location cells (race.Cells) that
+// are walked only once the aggregate read/write clock check has failed.
 package hb
 
 import (
@@ -42,23 +38,19 @@ import (
 
 // Options configures the detector.
 type Options struct {
-	// TrackPairs enables distinct race-pair accounting per program-location
-	// pair (Table 1 metric). When false the detector only counts racy
-	// events, which is cheaper. Ignored in Epoch mode, which reports no
-	// pairs.
-	TrackPairs bool
 	// Epoch selects the FastTrack-style epoch representation for the
 	// per-variable state (see fasttrack.go): one clock@thread word per
 	// variable in the common case, inflating reads to a vector clock only
 	// under read sharing. Epoch mode flags a subset of racy events (the
 	// same-epoch fast path suppresses re-checks within an epoch) but agrees
-	// on whether any race exists and on the first racy event.
+	// on whether any race exists and on the first racy event. It reports no
+	// pairs.
 	Epoch bool
 }
 
 // Result is the outcome of an HB analysis.
 type Result struct {
-	// Report holds the distinct race pairs (nil unless Options.TrackPairs).
+	// Report holds the distinct race pairs (nil with Options.Epoch).
 	Report *race.Report
 	// RacyEvents counts events flagged as racing with an earlier access.
 	RacyEvents int
@@ -68,35 +60,11 @@ type Result struct {
 	Events int
 }
 
-// accessKey is the per-variable access cache: the identity of the last
-// read (or write) of the variable — thread, the thread clock's generation,
-// and the change stamps of the peer aggregate clocks the check compared
-// against — plus the check's outcome. While all of those still match, the
-// current access is indistinguishable from the cached one: same racy
-// verdict, and the aggregate join is a no-op (the aggregate already
-// absorbed this exact clock), so the whole access costs one compare.
-type accessKey struct {
-	valid          bool
-	racy           bool
-	t              int32
-	tgen           uint32
-	rStamp, wStamp uint32
-}
-
-func (k *accessKey) hit(t int, tgen, rStamp, wStamp uint32) bool {
-	return k.valid && k.t == int32(t) && k.tgen == tgen &&
-		k.rStamp == rStamp && k.wStamp == wStamp
-}
-
 // varState is the per-variable detector state of the full-vector-clock mode.
 type varState struct {
-	readAll  vc.WC // join of all read times (Rx in §3.2)
-	writeAll vc.WC // join of all write times (Wx)
-	// rStamp/wStamp bump whenever readAll/writeAll grow; lastR/lastW are
-	// the access caches (vector mode without pair tracking only).
-	rStamp, wStamp uint32
-	lastR, lastW   accessKey
-	reads, writes  race.Cells // pair-tracking cell tables
+	readAll       vc.WC      // join of all read times (Rx in §3.2)
+	writeAll      vc.WC      // join of all write times (Wx)
+	reads, writes race.Cells // pair-tracking cell tables
 }
 
 // hbLock is the per-lock state: the windowed clock of the last release
@@ -119,14 +87,9 @@ type Detector struct {
 	evars []ftVar   // epoch-mode per-variable state (fasttrack.go)
 	arena *vc.Arena // recycled storage for inflated read vectors
 	res   Result
-	// cache enables the per-variable access caches: vector mode without
-	// pair tracking, and only at widths where replaying a verdict beats
-	// redoing the compare (tiny-T compares are already a handful of
-	// instructions, and the cache bookkeeping would be pure overhead).
-	cache bool
-	// held tracks each thread's currently-held locks, maintained only in
-	// pair-tracking mode to supply the fingerprint context of race
-	// observations (HB has no critical-section stack of its own).
+	// held tracks each thread's currently-held locks, maintained in vector
+	// mode to supply the fingerprint context of race observations (HB has
+	// no critical-section stack of its own).
 	held [][]event.LID
 	// joined marks threads some other thread has joined. In a well-formed
 	// trace a joined thread emits no further events, so its clock is frozen
@@ -151,15 +114,12 @@ func NewDetector(threads, locks, vars int, opts Options) *Detector {
 		d.evars = make([]ftVar, vars)
 	} else {
 		d.vars = make([]varState, vars)
-		if opts.TrackPairs {
-			d.res.Report = race.NewReport()
-			d.held = make([][]event.LID, threads)
-		}
+		d.res.Report = race.NewReport()
+		d.held = make([][]event.LID, threads)
 	}
 	for t := range d.ct {
 		d.ct[t].Set(t, 1)
 	}
-	d.cache = !opts.Epoch && d.res.Report == nil && threads > 8
 	return d
 }
 
@@ -257,83 +217,47 @@ func (d *Detector) popHeld(t int, l event.LID) {
 func (d *Detector) read(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
 	now := &d.ct[t]
-	if d.cache {
-		// Access cache: identical thread clock and unchanged write
-		// aggregate ⇒ identical verdict, and the read aggregate has
-		// already absorbed this clock. (The read check ignores readAll, so
-		// its stamp is not part of the key.)
-		if vs.lastR.hit(t, now.Gen(), 0, vs.wStamp) {
-			if vs.lastR.racy {
-				d.flag(i)
-			}
-			return
-		}
-	}
-	racy := vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
-	if racy && d.res.Report != nil {
-		racy = vs.writes.Check(d.res.Report, now.VC(), i, loc, race.Ctx{Var: x, Locks: d.held[t]})
-	}
-	if racy {
+	if vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC()) &&
+		vs.writes.Check(d.res.Report, now.VC(), i, loc, race.Ctx{Var: x, Locks: d.held[t]}) {
 		d.flag(i)
 	}
 	if !vs.readAll.Ready() {
 		vs.readAll.Init(d.width)
 	}
-	if vs.readAll.Join(now) {
-		vs.rStamp++
-	}
-	if d.res.Report != nil {
-		vs.reads.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
-	} else if d.cache {
-		vs.lastR = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), wStamp: vs.wStamp}
-	}
+	vs.readAll.Join(now)
+	vs.reads.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
 }
 
 func (d *Detector) write(i, t int, x event.VID, loc event.Loc) {
 	vs := &d.vars[x]
 	now := &d.ct[t]
-	if d.cache {
-		if vs.lastW.hit(t, now.Gen(), vs.rStamp, vs.wStamp) {
-			if vs.lastW.racy {
-				d.flag(i)
-			}
-			return
-		}
-	}
 	racyW := vs.writeAll.Ready() && !vs.writeAll.LeqVC(now.VC())
 	racyR := vs.readAll.Ready() && !vs.readAll.LeqVC(now.VC())
-	racy := racyW || racyR
-	if racy && d.res.Report != nil {
+	if racyW || racyR {
 		ctx := race.Ctx{Var: x, Locks: d.held[t]}
-		racy = racyW && vs.writes.Check(d.res.Report, now.VC(), i, loc, ctx)
+		racy := racyW && vs.writes.Check(d.res.Report, now.VC(), i, loc, ctx)
 		if racyR && vs.reads.Check(d.res.Report, now.VC(), i, loc, ctx) {
 			racy = true
 		}
-	}
-	if racy {
-		d.flag(i)
+		if racy {
+			d.flag(i)
+		}
 	}
 	if !vs.writeAll.Ready() {
 		vs.writeAll.Init(d.width)
 	}
-	if vs.writeAll.Join(now) {
-		vs.wStamp++
-	}
-	if d.res.Report != nil {
-		vs.writes.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
-	} else if d.cache {
-		vs.lastW = accessKey{valid: true, racy: racy, t: int32(t), tgen: now.Gen(), rStamp: vs.rStamp, wStamp: vs.wStamp}
-	}
+	vs.writeAll.Join(now)
+	vs.writes.Record(loc, i, t, []vc.Clock{now.Get(t)}, d.width)
 }
 
 // Result returns the analysis outcome accumulated so far. The returned
 // value shares state with the detector; read it after the last Process.
 func (d *Detector) Result() *Result { return &d.res }
 
-// Detect runs the full-vector-clock HB race detector over tr with race-pair
-// tracking enabled.
+// Detect runs the full-vector-clock HB race detector over tr, reporting
+// distinct race pairs.
 func Detect(tr *trace.Trace) *Result {
-	return DetectOpts(tr, Options{TrackPairs: true})
+	return DetectOpts(tr, Options{})
 }
 
 // DetectOpts runs the HB race detector over a whole trace, walking its

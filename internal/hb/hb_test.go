@@ -62,24 +62,6 @@ func TestDetectForkJoin(t *testing.T) {
 	}
 }
 
-// TestDetectOptsNoPairs checks the cheap mode agrees on race existence.
-func TestDetectOptsNoPairs(t *testing.T) {
-	for _, b := range gen.Benchmarks[:6] {
-		tr := b.Generate(1.0)
-		full := hb.Detect(tr)
-		cheap := hb.DetectOpts(tr, hb.Options{})
-		if cheap.Report != nil {
-			t.Error("cheap mode should not allocate a report")
-		}
-		if (full.RacyEvents > 0) != (cheap.RacyEvents > 0) {
-			t.Errorf("%s: full=%d cheap=%d disagree on existence", b.Name, full.RacyEvents, cheap.RacyEvents)
-		}
-		if full.FirstRace != cheap.FirstRace {
-			t.Errorf("%s: first race %d vs %d", b.Name, full.FirstRace, cheap.FirstRace)
-		}
-	}
-}
-
 // TestDetectMatchesClosure compares the vector-clock detector against the
 // reference HB closure on random traces: an event is flagged iff it is the
 // later element of some HB-unordered conflicting pair.

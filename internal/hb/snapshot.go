@@ -9,9 +9,8 @@ import (
 
 // Snapshot codec for the HB detector. Like internal/core's, the payload is
 // canonical: thread clocks, lock clocks, per-variable access state, held
-// stacks, and the result counters. Join-cache generations, the access
-// caches (lastR/lastW and the change stamps), and clock dirty windows are
-// recomputable and dropped — restore leaves caches cold and windows tight,
+// stacks, and the result counters. Join-cache generations and clock dirty
+// windows are recomputable and dropped — restore leaves caches cold and windows tight,
 // which costs a few redundant compares and changes no verdict. A snapshot
 // of a just-restored detector is byte-identical to the one it came from.
 
@@ -23,12 +22,11 @@ const (
 
 // EncodeSnapshot appends the detector's full semantic state to w.
 func (d *Detector) EncodeSnapshot(w *snap.Writer) error {
-	var ob byte
-	if d.opts.TrackPairs {
-		ob |= 1
-	}
+	// Option byte: 1 is the pair-tracking vector mode, 2 the epoch mode.
+	// 0, the retired count-only vector mode, is rejected on decode.
+	ob := byte(1)
 	if d.opts.Epoch {
-		ob |= 2
+		ob = 2
 	}
 	w.Byte(ob)
 	nvars := len(d.vars)
@@ -138,11 +136,10 @@ func DecodeSnapshot(rd *snap.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ob >= 4 || ob == 3 {
-		// Epoch mode never tracks pairs.
+	if ob != 1 && ob != 2 {
 		return nil, &snap.DecodeError{Reason: "bad detector options"}
 	}
-	opts := Options{TrackPairs: ob&1 != 0, Epoch: ob&2 != 0}
+	opts := Options{Epoch: ob == 2}
 	threads, err := rd.Count(maxSnapThreads)
 	if err != nil {
 		return nil, err

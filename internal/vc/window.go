@@ -23,12 +23,6 @@ package vc
 // the width. For width ≤ 4096 a bucket is ≤ 64 components; beyond that the
 // buckets widen and the bitmap degrades gracefully toward the span.
 //
-// Every WC also carries a *generation*, bumped on every mutation. Detectors
-// use generations as join caches: after joining source S at generation g
-// into a target that only ever grows, the join can be skipped for as long as
-// S's generation still reads g — the overwhelmingly common case for
-// repeated joins of an unchanged lock or queue clock in lock-heavy traces.
-//
 // Tiny widths (≤ denseWidth) and ForceDense builds opt out: their window is
 // permanently [0,width), so every operation takes the unrolled dense VC
 // paths that win at T ∈ {2,3,4}, and windows never have to be maintained.
@@ -94,14 +88,13 @@ func fullMask(width int, shift uint8) uint64 {
 }
 
 // WC is a windowed vector clock: dense []Clock storage plus the dirty
-// window and the mutation generation. The zero WC is not usable; call Init
+// window. The zero WC is not usable; call Init
 // (or carve one out of NewWCMatrix) first. All mutations must go through WC
 // methods — writing the storage directly would break the window invariant.
 type WC struct {
 	v      VC
 	lo, hi int32 // dirty span [lo,hi); empty when lo == hi
 	mask   uint64
-	gen    uint32
 	shift  uint8
 	dense  bool
 }
@@ -117,7 +110,6 @@ func (w *WC) InitFrom(v VC) {
 	w.v = v
 	w.shift = chunkShift(len(v))
 	w.dense = len(v) <= denseWidth || forceDense.Load()
-	w.gen = 0
 	if w.dense {
 		w.lo, w.hi = 0, int32(len(v))
 		w.mask = fullMask(len(v), w.shift)
@@ -157,10 +149,6 @@ func (w *WC) Width() int { return len(w.v) }
 
 // Get returns component t.
 func (w *WC) Get(t int) Clock { return w.v[t] }
-
-// Gen returns the mutation generation: it changes (increments) on every
-// mutation, so an unchanged generation proves the clock content unchanged.
-func (w *WC) Gen() uint32 { return w.gen }
 
 // Span returns the dirty span [lo,hi).
 func (w *WC) Span() (lo, hi int) { return int(w.lo), int(w.hi) }
@@ -209,27 +197,23 @@ func (w *WC) absorb(lo, hi int32, mask uint64) {
 	w.mask |= mask
 }
 
-// Set assigns component t and bumps the generation.
+// Set assigns component t.
 func (w *WC) Set(t int, c Clock) {
 	w.v[t] = c
 	if !w.dense {
 		w.markDirty(t)
 	}
-	w.gen++
 }
 
-// Zero resets every dirty component to 0, empties the window, and bumps the
-// generation.
+// Zero resets every dirty component to 0 and empties the window.
 func (w *WC) Zero() {
 	if w.dense {
 		w.v.Zero()
-		w.gen++
 		return
 	}
 	w.zeroDirty()
 	w.lo, w.hi = 0, 0
 	w.mask = 0
-	w.gen++
 }
 
 // zeroDirty zeroes the components covered by the window.
@@ -429,11 +413,8 @@ func (w *WC) JoinPacked(r []Clock, lo, hi int, mask uint64) bool {
 			}
 		}
 	}
-	if changed {
-		if !w.dense {
-			w.absorb(int32(lo), int32(hi), mask)
-		}
-		w.gen++
+	if changed && !w.dense {
+		w.absorb(int32(lo), int32(hi), mask)
 	}
 	return changed
 }
@@ -470,19 +451,12 @@ func (w *WC) join3(src *WC) bool {
 		v[2] = sv[2]
 		changed = true
 	}
-	if changed {
-		w.gen++
-	}
 	return changed
 }
 
 func (w *WC) joinWide(src *WC) bool {
 	if w.dense && src.dense {
-		if w.v.JoinChanged(src.v) {
-			w.gen++
-			return true
-		}
-		return false
+		return w.v.JoinChanged(src.v)
 	}
 	changed := false
 	v, sv := w.v, src.v
@@ -507,11 +481,8 @@ func (w *WC) joinWide(src *WC) bool {
 			}
 		}
 	}
-	if changed {
-		if !w.dense {
-			w.absorb(src.lo, src.hi, src.mask)
-		}
-		w.gen++
+	if changed && !w.dense {
+		w.absorb(src.lo, src.hi, src.mask)
 	}
 	return changed
 }
@@ -523,7 +494,6 @@ func (w *WC) Copy(src *WC) {
 	if sv := src.v; len(sv) == 3 && len(w.v) == 3 {
 		v := w.v[:3]
 		v[0], v[1], v[2] = sv[0], sv[1], sv[2]
-		w.gen++
 		return
 	}
 	w.copyWide(src)
@@ -535,7 +505,6 @@ func (w *WC) copyWide(src *WC) {
 	}
 	if w.dense {
 		w.v.Copy(src.v)
-		w.gen++
 		return
 	}
 	w.zeroDirty()
@@ -552,14 +521,11 @@ func (w *WC) copyWide(src *WC) {
 	}
 	w.lo, w.hi = src.lo, src.hi
 	w.mask = src.mask
-	w.gen++
 }
 
 // JoinEff sets w to w ⊔ (p ⊔ o)[t := n] — the WCP effective-time join —
 // merging only the sources' dirty windows. With oZero, the ⊔ o leg is
-// skipped (o adds nothing beyond p). The generation is bumped
-// unconditionally: an unchanged generation proves unchanged content, a
-// bumped one proves nothing.
+// skipped (o adds nothing beyond p).
 func (w *WC) JoinEff(p, o *WC, t int, n Clock, oZero bool) {
 	if oZero && len(p.v) == 3 && len(w.v) == 3 {
 		w.joinEff3(p, t, n)
@@ -582,7 +548,6 @@ func (w *WC) joinEff3(p *WC, t int, n Clock) {
 	if n > v[t] {
 		v[t] = n
 	}
-	w.gen++
 }
 
 func (w *WC) joinEffWide(p, o *WC, t int, n Clock, oZero bool) {
@@ -641,8 +606,7 @@ func (w *WC) Leq(x *WC) bool { return w.LeqVC(x.v) }
 // components they cover — absorb only ever widens windows, so a long-lived
 // clock that repeatedly joined scattered sources can end up scanning buckets
 // whose components are all zero. Compaction passes call this on long-lived
-// clocks; it is O(width) and does not bump the generation (the content is
-// unchanged). Dense clocks have no window to tighten.
+// clocks; it is O(width). Dense clocks have no window to tighten.
 func (w *WC) Tighten() {
 	if w.dense {
 		return

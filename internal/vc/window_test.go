@@ -120,32 +120,6 @@ func TestWCMatchesDense(t *testing.T) {
 	}
 }
 
-// TestWCGeneration pins the join-cache contract: the generation changes on
-// every mutation and stays put when an operation was a no-op.
-func TestWCGeneration(t *testing.T) {
-	a, b := NewWC(100), NewWC(100)
-	b.Set(7, 5)
-	g := a.Gen()
-	if !a.Join(&b) {
-		t.Fatal("first join must change a")
-	}
-	if a.Gen() == g {
-		t.Fatal("generation unchanged after mutating join")
-	}
-	g = a.Gen()
-	if a.Join(&b) {
-		t.Fatal("second join of unchanged source must be a no-op")
-	}
-	if a.Gen() != g {
-		t.Fatal("generation changed by no-op join")
-	}
-	gb := b.Gen()
-	b.Set(9, 1)
-	if b.Gen() == gb {
-		t.Fatal("Set must bump the generation")
-	}
-}
-
 // TestWCForceDense pins that ForceDense produces full windows (so windowed
 // call sites degrade to the dense behavior) without changing contents.
 func TestWCForceDense(t *testing.T) {

@@ -39,8 +39,8 @@ func TestWindowedAnalysisOverSoABlocks(t *testing.T) {
 	// carried synthetic acquires exercise the detector's lock handling).
 	for _, size := range []int{7, 23, 64} {
 		for wi, w := range window.Split(tr, size) {
-			soaRes := core.DetectOpts(w, core.Options{TrackPairs: true})
-			legacy := core.NewDetector(w.NumThreads(), w.NumLocks(), w.NumVars(), core.Options{TrackPairs: true})
+			soaRes := core.DetectOpts(w, core.Options{})
+			legacy := core.NewDetector(w.NumThreads(), w.NumLocks(), w.NumVars(), core.Options{})
 			for _, e := range w.Events {
 				legacy.Process(e)
 			}
@@ -91,7 +91,7 @@ func TestSplitBoundarySplitsCriticalSection(t *testing.T) {
 		t.Fatalf("split-section window should validate: %v", err)
 	}
 	for wi, w := range ws {
-		res := core.DetectOpts(w, core.Options{TrackPairs: true})
+		res := core.DetectOpts(w, core.Options{})
 		if res.RacyEvents != 0 {
 			t.Errorf("window %d: lock-protected accesses flagged racy (%d)", wi, res.RacyEvents)
 		}
@@ -107,7 +107,7 @@ func TestWindowedMergeDeterministic(t *testing.T) {
 		total := race.NewReport()
 		racy := 0
 		for _, w := range window.Split(tr, 50) {
-			res := core.DetectOpts(w, core.Options{TrackPairs: true})
+			res := core.DetectOpts(w, core.Options{})
 			racy += res.RacyEvents
 			total.Merge(res.Report)
 		}

@@ -66,7 +66,7 @@ func TestFacadeStreamingMatchesBatch(t *testing.T) {
 	b, _ := BenchmarkByName("raytracer")
 	tr := b.Generate(0.5)
 	batch := DetectWCP(tr)
-	det := NewWCPDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), WCPOptions{TrackPairs: true})
+	det := NewWCPDetector(tr.NumThreads(), tr.NumLocks(), tr.NumVars(), WCPOptions{})
 	for _, e := range tr.Events {
 		det.Process(e)
 	}
