@@ -15,9 +15,9 @@ func ReadAuto(r io.Reader) (*trace.Trace, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
-		return ReadBinary(br)
+		return readBinary(&binaryReader{br: br, src: r})
 	}
-	return ReadText(br)
+	return readText(br, hintLimit(br.Buffered(), r))
 }
 
 // ReadFile parses a trace file, auto-detecting the format.

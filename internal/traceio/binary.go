@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/event"
 	"repro/internal/trace"
@@ -185,17 +186,30 @@ type binaryReader struct {
 	off int64     // bytes consumed so far
 }
 
-// inputBound returns an upper bound on the input bytes left to read, as
-// far as the reader can tell: what is buffered, plus the unread length of a
-// source that reports one (bytes.Reader, strings.Reader, bytes.Buffer). A
-// source of unknown length adds nothing, so a caller sizing an allocation
-// by the bound grows past it only as input actually arrives.
-func (r *binaryReader) inputBound() uint64 {
-	n := r.br.Buffered()
-	if l, ok := r.src.(interface{ Len() int }); ok {
-		n += l.Len()
+// inputBound returns an upper bound on the input bytes left to read from
+// a bufio.Reader holding buffered bytes over src: the buffered bytes, plus
+// the unread length of src when src reports one (bytes.Reader,
+// strings.Reader and bytes.Buffer their Len, a regular file its size past
+// the current offset). known is false when src's length is unknown; the
+// bound then counts the buffered bytes alone, so a caller sizing an
+// allocation by it grows past it only as input actually arrives.
+func inputBound(buffered int, src io.Reader) (n int64, known bool) {
+	n = int64(buffered)
+	switch s := src.(type) {
+	case interface{ Len() int }:
+		return n + int64(s.Len()), true
+	case *os.File:
+		fi, err := s.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return n, false
+		}
+		off, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return n, false
+		}
+		return n + max(fi.Size()-off, 0), true
 	}
-	return uint64(n)
+	return n, false
 }
 
 // ReadByte implements io.ByteReader, counting consumed bytes so decode
@@ -262,7 +276,8 @@ func readBinaryHeader(br *binaryReader) (*event.Symbols, [4]uint64, uint64, erro
 	// table: a corrupt or hostile count cannot make a short header
 	// allocate more than its bytes could name.
 	syms := &event.Symbols{}
-	bound := br.inputBound()
+	n, _ := inputBound(br.br.Buffered(), br.src)
+	bound := uint64(n)
 	syms.Preallocate(int(min(counts[0], bound)), int(min(counts[1], bound)),
 		int(min(counts[2], bound)), int(min(counts[3], bound)))
 	interners := [4]func(string){
@@ -433,7 +448,10 @@ func EncodeEvents(w io.Writer, events []event.Event) error {
 
 // ReadBinary parses a binary-format trace from r.
 func ReadBinary(r io.Reader) (*trace.Trace, error) {
-	br := &binaryReader{br: bufio.NewReader(r), src: r}
+	return readBinary(&binaryReader{br: bufio.NewReader(r), src: r})
+}
+
+func readBinary(br *binaryReader) (*trace.Trace, error) {
 	syms, counts, nev, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err

@@ -75,7 +75,6 @@ type Stream struct {
 // stream beginning with the binary magic is decoded as binary, anything
 // else as the line-oriented text format.
 func OpenStream(r io.Reader) (*Stream, error) {
-	hint := hintLimit(r)
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(binaryMagic))
 	if err == nil && string(magic) == binaryMagic {
@@ -105,7 +104,7 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		syms: &event.Symbols{},
 		dims: Dims{Events: -1},
 		sc:   sc,
-		hint: hint,
+		hint: hintLimit(br.Buffered(), r),
 	}, nil
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,6 +165,44 @@ func TestReadTextPreSizesFromHeader(t *testing.T) {
 	}
 	if cap(tr.Events) != 100 {
 		t.Errorf("cap = %d, want exactly 100 (pre-sized from header, no regrowth)", cap(tr.Events))
+	}
+}
+
+// TestTextPreSizingBoundedByInput checks that a "# events N" header keeps
+// its exact pre-sizing past maxHint on every reader whose length is known —
+// ReadAuto's buffered wrapper and a file opened by ReadFile included — while
+// a hostile header is capped by the input's length.
+func TestTextPreSizingBoundedByInput(t *testing.T) {
+	const n = maxHint + 100
+	honest := "# events " + strconv.Itoa(n) + "\n" + strings.Repeat("t1|w(x)\n", n)
+	hostile := "# events 1000000000\nt1|w(x)\n"
+	path := filepath.Join(t.TempDir(), "trace.log")
+	read := map[string]func(string) (*trace.Trace, error){
+		"ReadText": func(s string) (*trace.Trace, error) { return ReadText(strings.NewReader(s)) },
+		"ReadAuto": func(s string) (*trace.Trace, error) { return ReadAuto(strings.NewReader(s)) },
+		"ReadFile": func(s string) (*trace.Trace, error) {
+			if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return ReadFile(path)
+		},
+	}
+	for name, rd := range read {
+		tr, err := rd(honest)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tr.Events) != n || cap(tr.Events) != n {
+			t.Errorf("%s honest header: len %d cap %d, want exactly %d", name, len(tr.Events), cap(tr.Events), n)
+		}
+		tr, err = rd(hostile)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tr.Events) != 1 || cap(tr.Events) > len(hostile) {
+			t.Errorf("%s hostile header: len %d cap %d, want 1 event and cap <= %d input bytes",
+				name, len(tr.Events), cap(tr.Events), len(hostile))
+		}
 	}
 }
 

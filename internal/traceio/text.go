@@ -136,17 +136,19 @@ func parseSymbolsHeader(line string) (counts [4]int, ok bool) {
 }
 
 // maxHint caps a header-declared count that only pre-sizes an allocation,
-// when the source does not report its length; larger traces grow past it
-// as their lines arrive.
+// when the source's length is unknown; larger traces grow past it as their
+// lines arrive.
 const maxHint = 1 << 16
 
-// hintLimit bounds the pre-sizing a text header may ask for. Every event
-// and every symbol takes at least one input byte, so a source that reports
-// its length bounds them by it; a hostile "# events 1000000000" line then
-// cannot allocate more than its input could fill.
-func hintLimit(r io.Reader) int {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return l.Len()
+// hintLimit bounds the pre-sizing a text header may ask for, given the
+// bytes buffered ahead of src. Every event and every symbol takes at least
+// one input byte, so the input left (inputBound) bounds them: an honest
+// header keeps its exact pre-sizing, while a hostile "# events 1000000000"
+// line cannot allocate more than its input could fill. A source of unknown
+// length caps the hints at maxHint.
+func hintLimit(buffered int, src io.Reader) int {
+	if n, ok := inputBound(buffered, src); ok {
+		return int(n)
 	}
 	return maxHint
 }
@@ -162,7 +164,10 @@ func preallocate(syms *event.Symbols, c [4]int, limit int) {
 // a "# symbols T L V P" comment pre-sizes the intern tables. Both are
 // capped by hintLimit.
 func ReadText(r io.Reader) (*trace.Trace, error) {
-	limit := hintLimit(r)
+	return readText(r, hintLimit(0, r))
+}
+
+func readText(r io.Reader, limit int) (*trace.Trace, error) {
 	syms := &event.Symbols{}
 	tr := &trace.Trace{Symbols: syms}
 	sc := bufio.NewScanner(r)
